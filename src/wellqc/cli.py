@@ -4,7 +4,17 @@ Subcommands: gen, tile, train, grid-search, cv, eval, predict, grad-check.
 Config precedence is built-in defaults < --config file < --set overrides; the
 fully-resolved config is logged and written into the out-dir before anything
 runs. Exit codes: 0 success, 1 contract/validation failure, 2 I/O or format
-error.
+error. Every failure prints one line, "error: <type>: <message>", to stderr.
+
+Every JSON input (the run config with its --set overrides, a tile grid, a
+grid-search spec, a --arch file) goes through one strict loader,
+``wellqc.configio``: an unknown key, a missing required key or a value of the
+wrong JSON type exits 1 with a line naming the key, e.g.
+"error: ConfigError: hyperparams.epochs: expected an integer, got 1.5".
+A --set value is parsed as JSON when it can be, so "--set seed=3" gives the
+integer 3 and "--set early_stopping.enabled=false" the boolean; anything else
+stays a string and fails where a number or boolean is expected. Checkpoint and
+manifest defects are format errors and exit 2.
 """
 
 import argparse
@@ -12,11 +22,12 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from wellqc import __version__
+from wellqc import __version__, configio
 from wellqc.errors import FormatError, GradCheckFailure, WellQcError
 from wellqc.data.manifest import DatasetManifest, load_examples
 from wellqc.data.pgm import read_pgm, write_pgm
@@ -61,15 +72,19 @@ def _resolve_config(args):
     return resolve_run_config(config_path, overrides)
 
 
+def _write_json(path, data, sort_keys=False) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def _prepare_out_dir(args, config=None) -> Path:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if config is not None:
-        resolved = config.to_dict()
+        resolved = configio.dump(config)
         log.info("resolved config: %s", json.dumps(resolved, sort_keys=True))
-        with open(out_dir / "resolved_config.json", "w", encoding="utf-8") as fh:
-            json.dump(resolved, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_dir / "resolved_config.json", resolved, sort_keys=True)
     return out_dir
 
 
@@ -96,7 +111,7 @@ def cmd_gen(args) -> int:
 def cmd_tile(args) -> int:
     pixels, _ = read_pgm(args.frame)
     frame = ScanFrame(pixels=pixels, frame_id=Path(args.frame).stem)
-    grid = TileGrid.from_file(args.grid)
+    grid = configio.load_file(TileGrid, args.grid)
     crops = tile_scan(frame, grid)
     out_dir = _prepare_out_dir(args)
     lines = [f"#wellqc-manifest v1 num_classes=2"]
@@ -119,7 +134,7 @@ def cmd_train(args) -> int:
     ckpt_path = out_dir / "checkpoint.bin"
     checkpoint.save(ckpt_path)
     (out_dir / "history.csv").write_text(history_csv(history), encoding="utf-8")
-    best = next(r for r in history if r.epoch == checkpoint.best_epoch)
+    best = history[checkpoint.best_epoch - 1]
     print(
         f"train[{args.model}]: {len(history)} epochs, best epoch {checkpoint.best_epoch} "
         f"(val_loss={best.val_loss:.4f}, val_accuracy={best.val_accuracy:.4f}) -> {ckpt_path}"
@@ -130,14 +145,12 @@ def cmd_train(args) -> int:
 def cmd_grid_search(args) -> int:
     config = _resolve_config(args)
     out_dir = _prepare_out_dir(args, config)
-    grid = GridSpec.from_file(args.grid)
+    grid = configio.load_file(GridSpec, args.grid)
     train_set, val_set = _load_split(args, config)
     results, best_config = grid_search(grid, config, train_set, val_set, jobs=args.jobs)
     (out_dir / "grid_results.csv").write_text(grid_table_csv(results), encoding="utf-8")
-    with open(out_dir / "grid_results.json", "w", encoding="utf-8") as fh:
-        json.dump([r.to_dict() for r in results], fh, indent=2)
-        fh.write("\n")
-    best_config.to_file(out_dir / "best_config.json")
+    _write_json(out_dir / "grid_results.json", [asdict(r) for r in results])
+    _write_json(out_dir / "best_config.json", configio.dump(best_config))
     top = results[0]
     print(
         f"grid-search: {len(results)} cells, best cell {top.index} "
@@ -151,9 +164,7 @@ def cmd_cv(args) -> int:
     out_dir = _prepare_out_dir(args, config)
     manifest = DatasetManifest.load(args.data)
     report = cross_validate(config, manifest, args.k, jobs=args.jobs)
-    with open(out_dir / "cv_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "cv_report.json", asdict(report))
     acc = report.mean.get("accuracy", float("nan"))
     std = report.std.get("accuracy", float("nan"))
     print(f"cv: {args.k} folds, accuracy {acc:.4f} +/- {std:.4f} -> {out_dir / 'cv_report.json'}")
@@ -218,7 +229,7 @@ def _toy_architecture() -> ArchitectureSpec:
 
 def cmd_grad_check(args) -> int:
     out_dir = _prepare_out_dir(args)
-    arch = ArchitectureSpec.from_file(args.arch) if args.arch else _toy_architecture()
+    arch = configio.load_file(ArchitectureSpec, args.arch) if args.arch else _toy_architecture()
     rng = np.random.default_rng(args.check_seed)
     model = init_model(arch, rng)
     batch = rng.random((args.batch, *arch.input_shape), dtype=np.float32)
@@ -227,18 +238,12 @@ def cmd_grad_check(args) -> int:
         report = grad_check(model, batch, labels, tolerance=args.tolerance)
     except GradCheckFailure as exc:
         report = exc.report
-        _write_gradcheck_report(out_dir, report)
+        _write_json(out_dir / "grad_check.json", report.to_dict())
         print(f"grad-check: FAILED max_rel_err={report.max_rel_err:.3e} -> {out_dir / 'grad_check.json'}")
         raise
-    _write_gradcheck_report(out_dir, report)
+    _write_json(out_dir / "grad_check.json", report.to_dict())
     print(f"grad-check: ok, max_rel_err={report.max_rel_err:.3e} -> {out_dir / 'grad_check.json'}")
     return EXIT_OK
-
-
-def _write_gradcheck_report(out_dir: Path, report) -> None:
-    with open(out_dir / "grad_check.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

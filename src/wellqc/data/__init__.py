@@ -1,6 +1,6 @@
 """Image I/O, tiling, labeling, augmentation, synthesis, and splitting."""
 
-from wellqc.data.augment import AUG_NONE, AUG_OPS, augment, augment_pixels
+from wellqc.data.augment import AUG_NONE, AUG_OPS, augment_pixels
 from wellqc.data.manifest import (
     Dataset,
     DatasetManifest,
@@ -12,12 +12,11 @@ from wellqc.data.pgm import read_pgm, write_pgm
 from wellqc.data.splits import kfold_split, split_train_val
 from wellqc.data.synth import DEFECT_KINDS, generate_synthetic, render_well
 from wellqc.data.tiles import ScanFrame, TileGrid, tile_scan
-from wellqc.data.wells import CROP_SIZE, LABEL_NG, LABEL_OK, LabeledExample, WellImage
+from wellqc.data.wells import CROP_SIZE, LABEL_NG, LABEL_OK, WellImage
 
 __all__ = [
     "AUG_NONE",
     "AUG_OPS",
-    "augment",
     "augment_pixels",
     "Dataset",
     "DatasetManifest",
@@ -37,6 +36,5 @@ __all__ = [
     "CROP_SIZE",
     "LABEL_OK",
     "LABEL_NG",
-    "LabeledExample",
     "WellImage",
 ]

@@ -7,8 +7,6 @@ multiset of pixel values is unchanged.
 
 import numpy as np
 
-from wellqc.data.wells import LabeledExample, WellImage
-
 AUG_NONE = "none"
 AUG_OPS = ("hflip", "vflip", "rot180")
 
@@ -24,16 +22,3 @@ def augment_pixels(pixels: np.ndarray, op: str) -> np.ndarray:
         return np.ascontiguousarray(pixels[::-1, ::-1])
     raise ValueError(f"unknown augmentation {op!r}; expected one of {(AUG_NONE,) + AUG_OPS}")
 
-
-def augment(example: LabeledExample, op: str) -> LabeledExample:
-    """Apply one augmentation; the label is preserved."""
-    image = example.image
-    return LabeledExample(
-        image=WellImage(
-            pixels=augment_pixels(image.pixels, op),
-            source_id=f"{image.source_id}+{op}" if image.source_id else op,
-            row=image.row,
-            col=image.col,
-        ),
-        label=example.label,
-    )

@@ -105,7 +105,13 @@ class DatasetManifest:
                         f"{path}: entry {p} has no label; fill in the manifest skeleton first",
                         offset=offset,
                     )
-                entries.append(ManifestEntry(path=p, label=int(label), origin=origin, aug=aug))
+                try:
+                    label = int(label)
+                except ValueError:
+                    raise FormatError(
+                        f"{path}: entry {p} has label {label!r}, not an integer", offset=offset
+                    ) from None
+                entries.append(ManifestEntry(path=p, label=label, origin=origin, aug=aug))
             offset += len(line) + 1
         return cls(entries=entries, num_classes=num_classes, version=version, root=path.parent)
 
@@ -162,20 +168,14 @@ class Dataset:
     def __len__(self) -> int:
         return int(self.labels.shape[0])
 
-    def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            images=self.images[indices],
-            labels=self.labels[indices],
-            ids=[self.ids[int(i)] for i in indices],
-        )
 
+def load_examples(manifest: DatasetManifest) -> Dataset:
+    """Read every manifest entry into memory, applying tagged augmentations.
 
-def load_examples(manifest: DatasetManifest, root=None) -> Dataset:
-    """Read every manifest entry into memory, applying tagged augmentations."""
-    base = Path(root) if root is not None else manifest.root
-    if base is None:
-        base = Path(".")
+    Paths are relative to the manifest's directory, or to the working
+    directory for a manifest that was not loaded from a file.
+    """
+    base = manifest.root or Path(".")
     n = len(manifest.entries)
     images = np.empty((n, CROP_SIZE, CROP_SIZE, 1), dtype=np.float32)
     labels = np.empty(n, dtype=np.int64)

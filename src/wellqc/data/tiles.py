@@ -1,6 +1,5 @@
 """Cutting full scanner frames into per-well crops on a known grid."""
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ class TileGrid:
 
     The crop at (row r, col c) covers
     rows [origin_y + r*pitch_y, +111) x cols [origin_x + c*pitch_x, +111).
+    A grid file is a JSON object with exactly these six integer keys.
     """
 
     origin_x: int
@@ -48,32 +48,6 @@ class TileGrid:
             raise ConfigError(f"grid pitch must be >= 1, got ({self.pitch_x}, {self.pitch_y})")
         if self.rows < 1 or self.cols < 1:
             raise ConfigError(f"grid must have >= 1 rows and cols, got {self.rows}x{self.cols}")
-
-    def to_dict(self) -> dict:
-        return {
-            "origin_x": self.origin_x,
-            "origin_y": self.origin_y,
-            "pitch_x": self.pitch_x,
-            "pitch_y": self.pitch_y,
-            "rows": self.rows,
-            "cols": self.cols,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TileGrid":
-        known = {"origin_x", "origin_y", "pitch_x", "pitch_y", "rows", "cols"}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown tile grid keys: {sorted(extra)}")
-        missing = known - set(d)
-        if missing:
-            raise ConfigError(f"tile grid missing keys: {sorted(missing)}")
-        return cls(**{k: int(v) for k, v in d.items()})
-
-    @classmethod
-    def from_file(cls, path) -> "TileGrid":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def tile_scan(frame: ScanFrame, grid: TileGrid) -> list[WellImage]:

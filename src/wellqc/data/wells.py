@@ -1,10 +1,10 @@
-"""Core image types: per-well crops and labeled examples."""
+"""Core image type: the per-well crop, and the class labels."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from wellqc.errors import LabelError, ShapeError
+from wellqc.errors import ShapeError
 
 CROP_SIZE = 111
 
@@ -33,14 +33,3 @@ class WellImage:
         if lo < 0.0 or hi > 1.0:
             raise ShapeError(f"well pixels must lie in [0, 1], found [{lo}, {hi}]")
 
-
-@dataclass
-class LabeledExample:
-    """A well crop paired with its class: 0 = OK (good), 1 = NG (defective)."""
-
-    image: WellImage
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (LABEL_OK, LABEL_NG):
-            raise LabelError(f"label must be 0 (OK) or 1 (NG), got {self.label}")

@@ -14,7 +14,7 @@ than 0.0 so degenerate evaluations stay visible; f1 is None when either is.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -40,9 +40,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
-
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn}
 
 
 class MetricValues(NamedTuple):
@@ -125,7 +122,7 @@ class MetricsReport:
             "schema_version": REPORT_SCHEMA_VERSION,
             "method": self.method,
             "threshold": self.threshold,
-            "confusion_matrix": self.cm.to_dict(),
+            "confusion_matrix": asdict(self.cm),
             "metrics": {
                 "accuracy": self.accuracy,
                 "precision": self.precision,
@@ -142,29 +139,6 @@ class MetricsReport:
                 for r in self.examples
             ],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        cm = ConfusionMatrix(**d["confusion_matrix"])
-        m = d["metrics"]
-        return cls(
-            method=d["method"],
-            cm=cm,
-            accuracy=m["accuracy"],
-            precision=m["precision"],
-            recall=m["recall"],
-            f1=m["f1"],
-            threshold=d.get("threshold", 0.5),
-            examples=[
-                PredictionRecord(
-                    example_id=e["id"],
-                    true_label=e["true_label"],
-                    predicted_label=e["predicted_label"],
-                    prob_defective=e["prob_defective"],
-                )
-                for e in d.get("examples", [])
-            ],
-        )
 
 
 def evaluate_checkpoint(checkpoint, dataset, threshold: float = 0.5, method: str | None = None) -> MetricsReport:

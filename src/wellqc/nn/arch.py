@@ -1,11 +1,10 @@
 """Declarative network architecture: layer specs, validation, shape inference.
 
 An architecture is data, not code: an ordered list of layer specs plus the
-input shape and class count, loadable from a JSON file so the shipped model
-can be edited without touching the package.
+input shape and class count, loaded from a JSON file by ``wellqc.configio``
+so the shipped model can be edited without touching the package.
 """
 
-import json
 from dataclasses import dataclass, field
 
 from wellqc.errors import ConfigError, ShapeError
@@ -60,32 +59,17 @@ class LayerSpec:
             return self.stride
         return 1 if self.kind == "Conv2D" else (self.window or 1)
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for name in ("out_channels", "kernel_size", "stride", "window", "units", "rate"):
-            value = getattr(self, name)
-            if value is not None:
-                d[name] = value
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LayerSpec":
-        known = {"kind", "out_channels", "kernel_size", "stride", "window", "units", "rate"}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown layer spec keys: {sorted(extra)}")
-        if "kind" not in d:
-            raise ConfigError("layer spec missing 'kind'")
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
-    """Input shape, ordered layers, and the number of output classes."""
+    """Input shape, number of output classes and ordered layers.
+
+    The field order is the key order of the serialized form.
+    """
 
     input_shape: tuple[int, int, int]
-    layers: tuple[LayerSpec, ...]
     num_classes: int = 2
+    layers: tuple[LayerSpec, ...] = field(kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
@@ -94,9 +78,6 @@ class ArchitectureSpec:
             raise ConfigError(f"input_shape must be 3 positive dims (H, W, C), got {self.input_shape}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-
-    def layer_count(self) -> int:
-        return len(self.layers)
 
     def validate(self) -> list[tuple[int, ...]]:
         """Run shape inference end-to-end and check the classifier head.
@@ -112,35 +93,6 @@ class ArchitectureSpec:
                 f"final layer produces shape {shapes[-1]}, expected ({self.num_classes},)"
             )
         return shapes
-
-    def to_dict(self) -> dict:
-        return {
-            "input_shape": list(self.input_shape),
-            "num_classes": self.num_classes,
-            "layers": [layer.to_dict() for layer in self.layers],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArchitectureSpec":
-        try:
-            layers = tuple(LayerSpec.from_dict(x) for x in d["layers"])
-            return cls(
-                input_shape=tuple(d["input_shape"]),
-                layers=layers,
-                num_classes=int(d.get("num_classes", 2)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"architecture spec missing key {exc}") from exc
-
-    @classmethod
-    def from_file(cls, path) -> "ArchitectureSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def infer_shapes(spec: ArchitectureSpec) -> list[tuple[int, ...]]:

@@ -7,13 +7,14 @@ can evaluate disjoint batches concurrently. Parameters are only ever mutated
 by the optimizer.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from wellqc.errors import ShapeError
 from wellqc.nn import ops
-from wellqc.nn.arch import ArchitectureSpec, infer_shapes
+from wellqc.nn.arch import ArchitectureSpec
 
 TRAIN = "train"
 INFER = "infer"
@@ -51,10 +52,6 @@ class Model:
             return value.dtype
         return np.dtype(np.float32)
 
-    def weight_keys(self) -> list[str]:
-        """Names of weight tensors (the ".W" entries; biases are ".b")."""
-        return [k for k in self.params if k.endswith(".W")]
-
     def regularized_keys(self) -> list[str]:
         """Weight tensors the L2 penalty covers: dense layers only.
 
@@ -68,14 +65,6 @@ class Model:
     def param_count(self) -> int:
         return sum(int(v.size) for v in self.params.values())
 
-    def clone(self) -> "Model":
-        return Model(
-            spec=self.spec,
-            params={k: v.copy() for k, v in self.params.items()},
-            mode=self.mode,
-            layer_names=list(self.layer_names),
-        )
-
     def astype(self, dtype) -> "Model":
         return Model(
             spec=self.spec,
@@ -85,35 +74,34 @@ class Model:
         )
 
 
-def init_model(spec: ArchitectureSpec, rng, dtype=np.float32, mode: str = TRAIN) -> Model:
-    """He-uniform weights and zero biases, drawn in layer order from ``rng``."""
-    shapes = spec.validate()
-    names = _layer_names(spec)
-    params: dict[str, np.ndarray] = {}
+def param_shapes(spec: ArchitectureSpec) -> dict[str, tuple[int, ...]]:
+    """{name: shape} of every weight (".W") and bias (".b") tensor, in layer order."""
+    shapes = {}
     in_shape = spec.input_shape
-    for layer, name, out_shape in zip(spec.layers, names, shapes):
+    for layer, name, out_shape in zip(spec.layers, _layer_names(spec), spec.validate()):
         if layer.kind == "Conv2D":
-            k, cin, cout = layer.kernel_size, in_shape[2], layer.out_channels
-            fan_in = k * k * cin
-            params[f"{name}.W"] = ops.he_uniform((k, k, cin, cout), fan_in, rng, dtype)
-            params[f"{name}.b"] = np.zeros(cout, dtype=dtype)
+            k = layer.kernel_size
+            shapes[f"{name}.W"] = (k, k, in_shape[2], layer.out_channels)
+            shapes[f"{name}.b"] = (layer.out_channels,)
         elif layer.kind == "Dense":
-            din, dout = in_shape[0], layer.units
-            params[f"{name}.W"] = ops.he_uniform((din, dout), din, rng, dtype)
-            params[f"{name}.b"] = np.zeros(dout, dtype=dtype)
+            shapes[f"{name}.W"] = (in_shape[0], layer.units)
+            shapes[f"{name}.b"] = (layer.units,)
         in_shape = out_shape
-    return Model(spec=spec, params=params, mode=mode, layer_names=names)
+    return shapes
 
 
-def _check_batch(model: Model, batch) -> np.ndarray:
-    batch = np.asarray(batch)
-    if batch.ndim == 3:
-        batch = batch[None, ...]
-    if batch.ndim != 4 or batch.shape[1:] != tuple(model.spec.input_shape):
-        raise ShapeError(
-            f"batch shape {batch.shape} does not match input shape {model.spec.input_shape}"
-        )
-    return batch
+def init_model(spec: ArchitectureSpec, rng, dtype=np.float32, mode: str = TRAIN) -> Model:
+    """He-uniform weights and zero biases, drawn in layer order from ``rng``.
+
+    A weight's fan-in is the product of all but its output axis.
+    """
+    params: dict[str, np.ndarray] = {}
+    for key, shape in param_shapes(spec).items():
+        if key.endswith(".W"):
+            params[key] = ops.he_uniform(shape, math.prod(shape[:-1]), rng, dtype)
+        else:
+            params[key] = np.zeros(shape, dtype=dtype)
+    return Model(spec=spec, params=params, mode=mode, layer_names=_layer_names(spec))
 
 
 def model_forward(model: Model, batch, rng=None):
@@ -123,7 +111,10 @@ def model_forward(model: Model, batch, rng=None):
     dropout draws its masks from ``rng``; in infer mode the pass is a pure
     deterministic function of (model, batch).
     """
-    x = _check_batch(model, batch).astype(model.dtype, copy=False)
+    x = np.asarray(batch)
+    if x.ndim != 4 or x.shape[1:] != tuple(model.spec.input_shape):
+        raise ShapeError(f"batch shape {x.shape} does not match input shape {model.spec.input_shape}")
+    x = x.astype(model.dtype, copy=False)
     cache = []
     for layer, name in zip(model.spec.layers, model.layer_names):
         kind = layer.kind
@@ -138,7 +129,7 @@ def model_forward(model: Model, batch, rng=None):
             out, arg = ops.maxpool2d_forward(x, layer.window, layer.effective_stride)
             cache.append((x.shape, arg))
         elif kind == "Flatten":
-            out = ops.flatten(x, batched=True)
+            out = ops.flatten(x)
             cache.append((x.shape,))
         elif kind == "Dense":
             w, b = model.params[f"{name}.W"], model.params[f"{name}.b"]
@@ -203,14 +194,21 @@ def model_backward(model: Model, cache, labels) -> dict[str, np.ndarray]:
     return grads
 
 
-def predict_probs(model: Model, images, batch_size: int = 64) -> np.ndarray:
-    """Class probabilities for a stack of images, evaluated in infer mode."""
-    images = np.asarray(images)
-    if images.ndim == 3:
-        images = images[None, ...]
-    frozen = model if model.mode == INFER else Model(model.spec, model.params, INFER, model.layer_names)
-    chunks = []
-    for start in range(0, images.shape[0], batch_size):
-        probs, _ = model_forward(frozen, images[start : start + batch_size])
+def predict_probs(model: Model, images, labels=None, batch_size: int = 64):
+    """Class probabilities for a stack of images, evaluated in infer mode.
+
+    This is the one batched inference loop. With ``labels`` it returns
+    (probabilities, mean cross-entropy), the mean taken as the batch-size
+    weighted sum of each batch's fused log-softmax loss.
+    """
+    frozen = Model(model.spec, model.params, INFER, model.layer_names)
+    n = len(images)
+    chunks, total_ce = [], 0.0
+    for start in range(0, n, batch_size):
+        stop = min(start + batch_size, n)
+        probs, cache = model_forward(frozen, images[start:stop])
         chunks.append(probs)
-    return np.concatenate(chunks, axis=0)
+        if labels is not None:
+            total_ce += model_loss(cache, labels[start:stop]) * (stop - start)
+    probs = np.concatenate(chunks, axis=0)
+    return probs if labels is None else (probs, total_ce / n)

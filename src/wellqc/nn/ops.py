@@ -1,8 +1,9 @@
 """Forward and backward kernels for the layers the classifier is built from.
 
-All kernels are plain functions over numpy arrays. Images and activations use
-channels-last layout: a single image is (H, W, C) and a batch is (N, H, W, C).
-Convolution weights are (KH, KW, C_in, C_out); dense weights are (D_in, D_out).
+All kernels are plain functions over batched numpy arrays. Images and
+activations use channels-last layout, (N, H, W, C); flat activations are
+(N, D). Convolution weights are (KH, KW, C_in, C_out); dense weights are
+(D_in, D_out).
 
 Kernels compute in the dtype of their inputs. Training runs them in float32;
 the gradient-check harness runs the identical code in float64.
@@ -14,23 +15,6 @@ side + 1 for stride 1, and (input - kernel) // stride + 1 in general.
 import numpy as np
 
 from wellqc.errors import LabelError, ShapeError
-
-
-def _as_batch(x, rank):
-    """Add a leading batch axis if ``x`` is a single example of rank-1 lower.
-
-    Returns (batched array, had_batch_axis).
-    """
-    x = np.asarray(x)
-    if x.ndim == rank:
-        return x, True
-    if x.ndim == rank - 1:
-        return x[None, ...], False
-    raise ShapeError(f"expected a rank-{rank - 1} or rank-{rank} array, got shape {x.shape}")
-
-
-def _unbatch(y, had_batch):
-    return y if had_batch else y[0]
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +63,8 @@ def _col2im(gcols, input_shape, kh, kw, stride):
 def conv2d_forward(x, weights, bias, stride=1):
     """Valid (unpadded) 2-D convolution.
 
-    out[y, x, o] = bias[o] + sum_{dy,dx,c} in[y*s+dy, x*s+dx, c] * w[dy,dx,c,o]
-
-    ``x`` is (H, W, C) or (N, H, W, C); the result has matching rank.
+    out[n, y, x, o] = bias[o] + sum_{dy,dx,c} in[n, y*s+dy, x*s+dx, c] * w[dy,dx,c,o]
     """
-    x, had_batch = _as_batch(x, 4)
     weights = np.asarray(weights)
     bias = np.asarray(bias)
     if weights.ndim != 4:
@@ -98,20 +79,17 @@ def conv2d_forward(x, weights, bias, stride=1):
     cols = _im2col(x, kh, kw, stride)
     out = cols.reshape(-1, kh * kw * cin) @ weights.reshape(kh * kw * cin, cout)
     out = out.reshape(n, oh, ow, cout) + bias
-    return _unbatch(out.astype(x.dtype, copy=False), had_batch)
+    return out.astype(x.dtype, copy=False)
 
 
 def conv2d_backward(grad_out, cached_input, weights, stride=1):
     """Gradients of conv2d_forward: (grad_input, grad_weights, grad_bias)."""
-    x, had_batch = _as_batch(cached_input, 4)
-    g, g_had_batch = _as_batch(grad_out, 4)
-    if had_batch != g_had_batch or g.shape[0] != x.shape[0]:
-        raise ShapeError(f"grad batch {g.shape} inconsistent with input batch {x.shape}")
+    x, g = cached_input, grad_out
     weights = np.asarray(weights)
     kh, kw, cin, cout = weights.shape
     oh, ow = conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride)
-    if g.shape[1:] != (oh, ow, cout):
-        raise ShapeError(f"grad_out shape {g.shape[1:]} does not match forward output ({oh}, {ow}, {cout})")
+    if g.shape != (x.shape[0], oh, ow, cout):
+        raise ShapeError(f"grad_out shape {g.shape} does not match forward output {(x.shape[0], oh, ow, cout)}")
 
     gb = g.sum(axis=(0, 1, 2))
     cols = _im2col(x, kh, kw, stride)
@@ -119,7 +97,7 @@ def conv2d_backward(grad_out, cached_input, weights, stride=1):
     gw = cols.reshape(-1, kh * kw * cin).T @ gflat
     gcols = gflat @ weights.reshape(kh * kw * cin, cout).T
     gx = _col2im(gcols.reshape(x.shape[0], oh, ow, -1), x.shape, kh, kw, stride)
-    return _unbatch(gx, had_batch), gw.reshape(weights.shape), gb
+    return gx, gw.reshape(weights.shape), gb
 
 
 # ---------------------------------------------------------------------------
@@ -148,33 +126,28 @@ def maxpool2d_forward(x, window, stride=None):
     """
     if stride is None:
         stride = window
-    x, had_batch = _as_batch(x, 4)
     wins = _pool_windows(x, window, stride)
     arg = wins.argmax(axis=3)
     out = np.take_along_axis(wins, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return _unbatch(out, had_batch), _unbatch(arg, had_batch)
+    return out, arg
 
 
 def maxpool2d_backward(grad_out, argmax, input_shape, window, stride=None):
     """Route each output gradient to the input cell that produced the max."""
     if stride is None:
         stride = window
-    g, had_batch = _as_batch(grad_out, 4)
-    arg, _ = _as_batch(argmax, 4)
-    if not had_batch:
-        input_shape = (1,) + tuple(input_shape)
     n, h, w, c = input_shape
     oh, ow = conv_output_hw(h, w, window, window, stride)
-    gwin = np.zeros((n, oh, ow, window * window, c), dtype=g.dtype)
-    np.put_along_axis(gwin, arg[:, :, :, None, :], g[:, :, :, None, :], axis=3)
+    gwin = np.zeros((n, oh, ow, window * window, c), dtype=grad_out.dtype)
+    np.put_along_axis(gwin, argmax[:, :, :, None, :], grad_out[:, :, :, None, :], axis=3)
     gwin = gwin.reshape(n, oh, ow, window, window, c)
-    gx = np.zeros(input_shape, dtype=g.dtype)
+    gx = np.zeros(input_shape, dtype=grad_out.dtype)
     for dy in range(window):
         ylim = dy + (oh - 1) * stride + 1
         for dx in range(window):
             xlim = dx + (ow - 1) * stride + 1
             gx[:, dy:ylim:stride, dx:xlim:stride, :] += gwin[:, :, :, dy, dx, :]
-    return gx if had_batch else gx[0]
+    return gx
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +162,9 @@ def relu_backward(grad_out, cached_input):
     return grad_out * (np.asarray(cached_input) > 0)
 
 
-def flatten(x, batched=False):
-    """Flatten to a vector (row-major); keeps the batch axis when ``batched``."""
-    x = np.asarray(x)
-    return x.reshape(x.shape[0], -1) if batched else x.reshape(-1)
+def flatten(x):
+    """Flatten each example to a vector (row-major), keeping the batch axis."""
+    return x.reshape(x.shape[0], -1)
 
 
 def flatten_backward(grad_out, input_shape):
@@ -201,24 +173,21 @@ def flatten_backward(grad_out, input_shape):
 
 def dense_forward(x, weights, bias):
     """Affine map: out = x @ W + b with W of shape (D_in, D_out)."""
-    x, had_batch = _as_batch(x, 2)
     weights = np.asarray(weights)
     bias = np.asarray(bias)
     if weights.ndim != 2 or x.shape[1] != weights.shape[0]:
         raise ShapeError(f"dense input of width {x.shape[1]} does not match weights {weights.shape}")
     if bias.shape != (weights.shape[1],):
         raise ShapeError(f"dense bias must have shape ({weights.shape[1]},), got {bias.shape}")
-    return _unbatch(x @ weights + bias, had_batch)
+    return x @ weights + bias
 
 
 def dense_backward(grad_out, cached_input, weights):
     """Gradients of dense_forward: (grad_input, grad_weights, grad_bias)."""
-    x, had_batch = _as_batch(cached_input, 2)
-    g, _ = _as_batch(grad_out, 2)
-    gw = x.T @ g
-    gb = g.sum(axis=0)
-    gx = g @ np.asarray(weights).T
-    return _unbatch(gx, had_batch), gw, gb
+    gw = cached_input.T @ grad_out
+    gb = grad_out.sum(axis=0)
+    gx = grad_out @ np.asarray(weights).T
+    return gx, gw, gb
 
 
 def dropout_forward(x, rate, rng, mode):
@@ -251,18 +220,16 @@ def dropout_backward(grad_out, mask, rate):
 
 def softmax(logits):
     """Max-shifted softmax: p_i = exp(z_i - max z) / sum_j exp(z_j - max z)."""
-    z, had_batch = _as_batch(logits, 2)
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return _unbatch(e / e.sum(axis=1, keepdims=True), had_batch)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def log_softmax(logits):
     """log p in the fused form z - max - log(sum exp(z - max))."""
-    z, had_batch = _as_batch(logits, 2)
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return _unbatch(shifted - lse, had_batch)
+    return shifted - lse
 
 
 def _check_labels(labels, num_classes):
@@ -273,28 +240,19 @@ def _check_labels(labels, num_classes):
     return labels
 
 
-def sparse_ce_loss(probabilities, labels):
-    """Mean -ln p(true class) over the batch, from softmax probabilities."""
-    p, had_batch = _as_batch(probabilities, 2)
-    labels = np.atleast_1d(_check_labels(labels, p.shape[1]))
-    return float(-np.log(p[np.arange(p.shape[0]), labels]).mean())
-
-
 def sparse_ce_from_log_probs(log_probs, labels):
     """Mean -log p(true class) from log-softmax output (the fused path)."""
-    lp, had_batch = _as_batch(log_probs, 2)
-    labels = np.atleast_1d(_check_labels(labels, lp.shape[1]))
-    return float(-lp[np.arange(lp.shape[0]), labels].mean())
+    labels = _check_labels(labels, log_probs.shape[1])
+    return float(-log_probs[np.arange(log_probs.shape[0]), labels].mean())
 
 
 def sparse_ce_grad_logits(probabilities, labels):
     """Gradient of the mean loss w.r.t. the logits: (p - onehot) / N."""
-    p, had_batch = _as_batch(probabilities, 2)
-    labels = np.atleast_1d(_check_labels(labels, p.shape[1]))
-    g = p.copy()
-    g[np.arange(p.shape[0]), labels] -= 1
-    g /= p.shape[0]
-    return _unbatch(g, had_batch)
+    labels = _check_labels(labels, probabilities.shape[1])
+    g = probabilities.copy()
+    g[np.arange(g.shape[0]), labels] -= 1
+    g /= g.shape[0]
+    return g
 
 
 # ---------------------------------------------------------------------------

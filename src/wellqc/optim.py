@@ -11,7 +11,7 @@ L2 regularization adds lambda * sum(W^2) to the optimized loss, i.e. 2*lambda*W
 to the weight gradients; bias gradients are never regularized.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class Hyperparams:
     l2_lambda: float = 0.3
     loss: str = "sparse_categorical_cross_entropy"
 
-    def validate(self) -> "Hyperparams":
+    def __post_init__(self):
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 1:
@@ -49,26 +49,6 @@ class Hyperparams:
             raise ConfigError(f"unsupported optimizer {self.optimizer!r}")
         if self.loss != "sparse_categorical_cross_entropy":
             raise ConfigError(f"unsupported loss {self.loss!r}")
-        return self
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "optimizer": self.optimizer,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "dropout_rate": self.dropout_rate,
-            "l2_lambda": self.l2_lambda,
-            "loss": self.loss,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Hyperparams":
-        known = set(cls().to_dict())
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown hyperparameter keys: {sorted(extra)}")
-        return cls(**d).validate()
 
 
 @dataclass

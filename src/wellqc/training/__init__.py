@@ -1,6 +1,6 @@
 """Training loop, early stopping, checkpoints, grid search, cross-validation."""
 
-from wellqc.training.checkpoint import Checkpoint
+from wellqc.training.checkpoint import Checkpoint, EpochRecord
 from wellqc.training.config import (
     EarlyStoppingConfig,
     RunConfig,
@@ -8,9 +8,8 @@ from wellqc.training.config import (
     resolve_run_config,
 )
 from wellqc.training.loop import (
-    EpochRecord,
     batch_slices,
-    early_stop_check,
+    best_epoch,
     evaluate_model,
     history_csv,
     train,
@@ -35,7 +34,7 @@ __all__ = [
     "resolve_run_config",
     "EpochRecord",
     "batch_slices",
-    "early_stop_check",
+    "best_epoch",
     "evaluate_model",
     "history_csv",
     "train",

@@ -1,4 +1,4 @@
-"""Versioned checkpoint container.
+"""Versioned checkpoint container and the training history it carries.
 
 Byte layout (documented for cross-implementation compatibility):
 
@@ -10,22 +10,57 @@ Byte layout (documented for cross-implementation compatibility):
              raw little-endian 32-bit floats in row-major (C) order
 
 Weights round-trip bit-exactly, so a loaded checkpoint predicts identically
-to the in-memory model it was saved from.
+to the in-memory model it was saved from. Loading checks the header with the
+strict config codec and checks that the listed params are exactly the
+tensors the architecture has; any defect is a FormatError.
 """
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from wellqc.errors import FormatError
+from wellqc import configio
+from wellqc.errors import FormatError, WellQcError
 from wellqc.nn.arch import ArchitectureSpec
-from wellqc.nn.model import INFER, Model, _layer_names
+from wellqc.nn.model import INFER, Model, _layer_names, param_shapes
 from wellqc.optim import Hyperparams
 
 CHECKPOINT_VERSION = 1
 _MAGIC = "WELLQC-CKPT"
+
+
+@dataclass(frozen=True)
+class EpochRecord:
+    """One epoch of training history. Wall time is logged, never stored."""
+
+    epoch: int  # 1-based
+    train_loss: float  # cross-entropy + L2 penalty (the optimized objective)
+    train_ce: float
+    train_accuracy: float
+    val_loss: float  # pure cross-entropy
+    val_accuracy: float
+
+
+HISTORY_COLUMNS = tuple(f.name for f in fields(EpochRecord))
+
+
+@dataclass(frozen=True)
+class _ParamEntry:
+    name: str
+    shape: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _Header:
+    format_version: int
+    architecture: ArchitectureSpec
+    hyperparams: Hyperparams
+    params: tuple[_ParamEntry, ...]
+    history: tuple[EpochRecord, ...] = ()
+    best_epoch: int = 0
 
 
 @dataclass
@@ -46,21 +81,15 @@ class Checkpoint:
         )
 
     def save(self, path) -> None:
-        from wellqc.training.loop import EpochRecord  # local: avoid import cycle
-
-        header = {
-            "format_version": self.version,
-            "architecture": self.spec.to_dict(),
-            "hyperparams": self.hyperparams.to_dict(),
-            "history": [
-                r.to_dict() if isinstance(r, EpochRecord) else dict(r) for r in self.history
-            ],
-            "best_epoch": self.best_epoch,
-            "params": [
-                {"name": name, "shape": list(self.params[name].shape)} for name in self.params
-            ],
-        }
-        header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        header = _Header(
+            format_version=self.version,
+            architecture=self.spec,
+            hyperparams=self.hyperparams,
+            params=tuple(_ParamEntry(name, value.shape) for name, value in self.params.items()),
+            history=tuple(self.history),
+            best_epoch=self.best_epoch,
+        )
+        header_bytes = json.dumps(configio.dump(header), sort_keys=True, separators=(",", ":")).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(f"{_MAGIC} v{self.version} {len(header_bytes)}\n".encode("ascii"))
             fh.write(header_bytes)
@@ -69,8 +98,6 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        from wellqc.training.loop import EpochRecord
-
         data = Path(path).read_bytes()
         nl = data.find(b"\n")
         if nl < 0:
@@ -80,48 +107,43 @@ class Checkpoint:
             raise FormatError(f"{path}: bad magic line {data[:nl]!r}", offset=0)
         if parts[1] != f"v{CHECKPOINT_VERSION}":
             raise FormatError(f"{path}: unsupported checkpoint version {parts[1]}")
-        try:
-            header_len = int(parts[2])
-        except ValueError:
-            raise FormatError(f"{path}: bad header length {parts[2]!r}", offset=0) from None
+        if not parts[2].isdigit():
+            raise FormatError(f"{path}: bad header length {parts[2]!r}", offset=0)
+        header_len = int(parts[2])
 
         header_start = nl + 1
         header_bytes = data[header_start : header_start + header_len]
         if len(header_bytes) < header_len:
             raise FormatError(f"{path}: truncated header", offset=header_start + len(header_bytes))
         try:
-            header = json.loads(header_bytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: invalid header JSON: {exc}", offset=header_start) from None
-
-        spec = ArchitectureSpec.from_dict(header["architecture"])
-        hyperparams = Hyperparams.from_dict(header["hyperparams"])
-        history = [EpochRecord.from_dict(r) for r in header.get("history", [])]
+            header = configio.load(_Header, json.loads(header_bytes.decode("utf-8")))
+            expected = param_shapes(header.architecture)
+        except (ValueError, WellQcError) as exc:
+            raise FormatError(f"{path}: bad header: {exc}", offset=header_start) from None
+        if sorted((p.name, p.shape) for p in header.params) != sorted(expected.items()):
+            listed = ", ".join(f"{name}{list(shape)}" for name, shape in expected.items())
+            raise FormatError(f"{path}: header params are not the architecture's {listed}", offset=header_start)
 
         params: dict[str, np.ndarray] = {}
         offset = header_start + header_len
-        for entry in header["params"]:
-            shape = tuple(int(d) for d in entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            nbytes = count * 4
+        for entry in header.params:
+            nbytes = math.prod(entry.shape) * 4
             block = data[offset : offset + nbytes]
             if len(block) < nbytes:
                 raise FormatError(
-                    f"{path}: truncated weight block for {entry['name']}",
+                    f"{path}: truncated weight block for {entry.name}",
                     offset=offset + len(block),
                 )
-            params[entry["name"]] = (
-                np.frombuffer(block, dtype="<f4").reshape(shape).astype(np.float32)
-            )
+            params[entry.name] = np.frombuffer(block, dtype="<f4").reshape(entry.shape).astype(np.float32)
             offset += nbytes
         if offset != len(data):
             raise FormatError(f"{path}: {len(data) - offset} trailing bytes", offset=offset)
 
         return cls(
-            spec=spec,
+            spec=header.architecture,
             params=params,
-            hyperparams=hyperparams,
-            history=history,
-            best_epoch=int(header.get("best_epoch", 0)),
-            version=int(header["format_version"]),
+            hyperparams=header.hyperparams,
+            history=list(header.history),
+            best_epoch=header.best_epoch,
+            version=header.format_version,
         )

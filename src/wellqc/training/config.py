@@ -3,11 +3,18 @@
 Precedence when resolving a run is built-in defaults < config file <
 command-line overrides; the CLI logs the fully-resolved result before doing
 anything, and a resolved config re-runs to identical artifacts.
+
+The resolved dict is loaded by the strict codec in ``wellqc.configio``: an
+unknown key, a missing required key or a value of the wrong JSON type (a
+string for a number, a float for an integer, anything but true/false for a
+boolean) raises ConfigError naming the key, which the CLI reports as one line
+with exit code 1.
 """
 
 import json
 from dataclasses import dataclass, field, replace
 
+from wellqc import configio
 from wellqc.errors import ConfigError
 from wellqc.nn.arch import ArchitectureSpec, default_architecture
 from wellqc.optim import Hyperparams
@@ -25,17 +32,6 @@ class EarlyStoppingConfig:
         if self.patience < 1:
             raise ConfigError(f"early stopping patience must be >= 1, got {self.patience}")
 
-    def to_dict(self) -> dict:
-        return {"enabled": self.enabled, "metric": self.metric, "patience": self.patience}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EarlyStoppingConfig":
-        known = {"enabled", "metric", "patience"}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown early_stopping keys: {sorted(extra)}")
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -48,47 +44,10 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
-        self.hyperparams.validate()
         self.architecture.validate()
 
-    def to_dict(self) -> dict:
-        return {
-            "architecture": self.architecture.to_dict(),
-            "hyperparams": self.hyperparams.to_dict(),
-            "split_fraction": self.split_fraction,
-            "seed": self.seed,
-            "early_stopping": self.early_stopping.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        known = {"architecture", "hyperparams", "split_fraction", "seed", "early_stopping"}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown run config keys: {sorted(extra)}")
-        base = default_run_config()
-        return cls(
-            architecture=ArchitectureSpec.from_dict(d["architecture"]) if "architecture" in d else base.architecture,
-            hyperparams=Hyperparams.from_dict(d["hyperparams"]) if "hyperparams" in d else base.hyperparams,
-            split_fraction=float(d.get("split_fraction", base.split_fraction)),
-            seed=int(d.get("seed", base.seed)),
-            early_stopping=(
-                EarlyStoppingConfig.from_dict(d["early_stopping"]) if "early_stopping" in d else base.early_stopping
-            ),
-        )
-
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
     def with_hyperparams(self, **updates) -> "RunConfig":
-        return replace(self, hyperparams=replace(self.hyperparams, **updates).validate())
+        return replace(self, hyperparams=replace(self.hyperparams, **updates))
 
 
 def default_run_config() -> RunConfig:
@@ -136,13 +95,10 @@ def apply_overrides(config_dict: dict, overrides) -> dict:
 
 def resolve_run_config(config_path=None, overrides=None) -> RunConfig:
     """defaults < file < overrides, returned as a validated RunConfig."""
-    resolved = default_run_config().to_dict()
+    resolved = configio.dump(default_run_config())
     if config_path is not None:
-        with open(config_path, encoding="utf-8") as fh:
-            try:
-                file_dict = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{config_path}: invalid JSON: {exc}") from exc
+        file_dict = configio.read_json(config_path)
+        if not isinstance(file_dict, dict):
+            raise ConfigError(f"{config_path}: the top level must be a JSON object")
         resolved = _merge_dicts(resolved, file_dict)
-    resolved = apply_overrides(resolved, overrides)
-    return RunConfig.from_dict(resolved)
+    return configio.load(RunConfig, apply_overrides(resolved, overrides))

@@ -5,45 +5,24 @@ the L2 penalty); the pure cross-entropy component is kept alongside it.
 Validation loss is pure cross-entropy, which is also what early stopping
 monitors by default.
 
-Epoch wall time is measured for the run log only: it is excluded from the
-history CSV and checkpoints so identically-configured runs serialize to
-identical bytes.
+Epoch wall time is measured for the run log only: it is not part of an
+EpochRecord, so identically-configured runs serialize to identical bytes.
 """
 
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from wellqc.errors import NonFiniteGradient
-from wellqc.nn.arch import ArchitectureSpec, LayerSpec, logistic_architecture
-from wellqc.nn.model import INFER, TRAIN, Model, init_model, model_backward, model_forward, model_loss
+from wellqc.nn.arch import ArchitectureSpec, logistic_architecture
+from wellqc.nn.model import TRAIN, Model, init_model, model_backward, model_forward, model_loss, predict_probs
 from wellqc.optim import adam_step, apply_l2, init_adam_state, l2_penalty
-from wellqc.training.checkpoint import Checkpoint
+from wellqc.training.checkpoint import HISTORY_COLUMNS, Checkpoint, EpochRecord
 from wellqc.training.config import RunConfig
 
 log = logging.getLogger(__name__)
-
-HISTORY_COLUMNS = ("epoch", "train_loss", "train_ce", "train_accuracy", "val_loss", "val_accuracy")
-
-
-@dataclass(frozen=True)
-class EpochRecord:
-    epoch: int  # 1-based
-    train_loss: float  # cross-entropy + L2 penalty (the optimized objective)
-    train_ce: float
-    train_accuracy: float
-    val_loss: float  # pure cross-entropy
-    val_accuracy: float
-    wall_time: float = 0.0  # seconds; log-only, never serialized
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in HISTORY_COLUMNS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EpochRecord":
-        return cls(**{name: d[name] for name in HISTORY_COLUMNS})
 
 
 def history_csv(history) -> str:
@@ -56,21 +35,13 @@ def history_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def early_stop_check(history, metric: str = "val_loss", patience: int = 5):
-    """None to continue; otherwise the 1-based epoch whose weights to keep.
+def best_epoch(history, metric: str) -> int:
+    """The earliest epoch with the best ``metric``; a tie is not an improvement.
 
-    Stops once the monitored metric has gone ``patience`` consecutive epochs
-    without strictly improving on its best value. Ties are not improvements,
-    and the best epoch is the earliest one achieving the best value.
+    val_loss is minimized and val_accuracy maximized.
     """
-    if not history:
-        raise ValueError("history must be non-empty")
-    values = [getattr(r, metric) for r in history]
-    best = min(range(len(values)), key=lambda i: (values[i] if metric == "val_loss" else -values[i], i))
-    stalled = len(values) - 1 - best
-    if stalled >= patience:
-        return history[best].epoch
-    return None
+    sign = 1.0 if metric == "val_loss" else -1.0
+    return min(history, key=lambda r: sign * getattr(r, metric)).epoch
 
 
 def batch_slices(n: int, batch_size: int):
@@ -79,17 +50,10 @@ def batch_slices(n: int, batch_size: int):
         yield start, min(start + batch_size, n)
 
 
-def evaluate_model(model: Model, images, labels, batch_size: int = 64):
+def evaluate_model(model: Model, images, labels):
     """(mean cross-entropy, accuracy) over a dataset, in infer mode."""
-    frozen = Model(model.spec, model.params, INFER, model.layer_names)
-    n = images.shape[0]
-    total_ce = 0.0
-    correct = 0
-    for start, stop in batch_slices(n, batch_size):
-        probs, cache = model_forward(frozen, images[start:stop])
-        total_ce += model_loss(cache, labels[start:stop]) * (stop - start)
-        correct += int((probs.argmax(axis=1) == labels[start:stop]).sum())
-    return total_ce / n, correct / n
+    probs, ce = predict_probs(model, images, labels)
+    return ce, int((probs.argmax(axis=1) == labels).sum()) / len(labels)
 
 
 def train(config: RunConfig, train_set, val_set):
@@ -101,7 +65,7 @@ def train(config: RunConfig, train_set, val_set):
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be non-empty")
-    hp = config.hyperparams.validate()
+    hp = config.hyperparams
     arch = _with_dropout_rate(config.architecture, hp.dropout_rate)
     es = config.early_stopping
 
@@ -112,9 +76,6 @@ def train(config: RunConfig, train_set, val_set):
 
     n = len(train_set)
     history: list[EpochRecord] = []
-    best_value = None
-    best_epoch = 0
-    best_params = {k: v.copy() for k, v in model.params.items()}
 
     for epoch in range(1, hp.epochs + 1):
         t0 = time.perf_counter()
@@ -150,40 +111,22 @@ def train(config: RunConfig, train_set, val_set):
             train_accuracy=correct / n,
             val_loss=val_loss,
             val_accuracy=val_accuracy,
-            wall_time=time.perf_counter() - t0,
         )
         history.append(record)
         log.info(
             "epoch %d: train_loss=%.4f train_acc=%.4f val_loss=%.4f val_acc=%.4f (%.2fs)",
             record.epoch, record.train_loss, record.train_accuracy,
-            record.val_loss, record.val_accuracy, record.wall_time,
+            record.val_loss, record.val_accuracy, time.perf_counter() - t0,
         )
 
-        monitored = val_loss if es.metric == "val_loss" else val_accuracy
-        improved = (
-            best_value is None
-            or (es.metric == "val_loss" and monitored < best_value)
-            or (es.metric == "val_accuracy" and monitored > best_value)
-        )
-        if improved:
-            best_value = monitored
-            best_epoch = epoch
+        best = best_epoch(history, es.metric)
+        if best == epoch:
             best_params = {k: v.copy() for k, v in model.params.items()}
-
-        if es.enabled and early_stop_check(history, es.metric, es.patience) is not None:
-            log.info("early stop after epoch %d; keeping epoch %d", epoch, best_epoch)
+        if es.enabled and epoch - best >= es.patience:
+            log.info("early stop after epoch %d; keeping epoch %d", epoch, best)
             break
 
-    return (
-        Checkpoint(
-            spec=arch,
-            params=best_params,
-            hyperparams=hp,
-            history=history,
-            best_epoch=best_epoch,
-        ),
-        history,
-    )
+    return Checkpoint(spec=arch, params=best_params, hyperparams=hp, history=history, best_epoch=best), history
 
 
 def _with_dropout_rate(arch: ArchitectureSpec, rate: float) -> ArchitectureSpec:

@@ -7,17 +7,17 @@ nothing mutable, so running them serially or across N workers produces
 identical results.
 """
 
-import json
+import itertools
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from wellqc.errors import ConfigError, NonFiniteGradient, WellQcError
+from wellqc.errors import NonFiniteGradient, WellQcError
 from wellqc.data.manifest import load_examples
 from wellqc.data.splits import kfold_split
-from wellqc.metrics import confusion, evaluate_checkpoint, metrics
+from wellqc.metrics import evaluate_checkpoint
 from wellqc.training.config import RunConfig
 from wellqc.training.loop import train
 
@@ -44,45 +44,13 @@ class GridSpec:
 
     AXES = ("learning_rate", "batch_size", "dropout_rate", "l2_lambda")
 
-    def __post_init__(self):
-        for axis in self.AXES:
-            object.__setattr__(self, axis, tuple(getattr(self, axis)))
-
     def cells(self, base) -> list[dict]:
         """All combinations in row-major order over the axes above.
 
         Axes with no candidates use the base config's value.
         """
-        axes = []
-        for axis in self.AXES:
-            values = getattr(self, axis)
-            axes.append(values if values else (getattr(base, axis),))
-        out = []
-        for lr in axes[0]:
-            for bs in axes[1]:
-                for dr in axes[2]:
-                    for l2 in axes[3]:
-                        out.append(
-                            {"learning_rate": lr, "batch_size": bs, "dropout_rate": dr, "l2_lambda": l2}
-                        )
-        if not out:
-            raise ConfigError("grid is empty")
-        return out
-
-    def to_dict(self) -> dict:
-        return {axis: list(getattr(self, axis)) for axis in self.AXES if getattr(self, axis)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        extra = set(d) - set(cls.AXES)
-        if extra:
-            raise ConfigError(f"unknown grid axes: {sorted(extra)}")
-        return cls(**{k: tuple(v) for k, v in d.items()})
-
-    @classmethod
-    def from_file(cls, path) -> "GridSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        axes = [getattr(self, axis) or (getattr(base, axis),) for axis in self.AXES]
+        return [dict(zip(self.AXES, values)) for values in itertools.product(*axes)]
 
 
 @dataclass
@@ -100,18 +68,6 @@ class CellResult:
     def failed(self) -> bool:
         return self.error is not None
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "values": self.values,
-            "seed": self.seed,
-            "val_accuracy": self.val_accuracy,
-            "val_loss": self.val_loss,
-            "best_epoch": self.best_epoch,
-            "epochs_run": self.epochs_run,
-            "error": self.error,
-        }
-
 
 def _run_cell(index: int, values: dict, base_config: RunConfig, train_set, val_set) -> CellResult:
     seed = derive_seed(base_config.seed, _KIND_GRID_CELL, index)
@@ -119,7 +75,7 @@ def _run_cell(index: int, values: dict, base_config: RunConfig, train_set, val_s
     config = replace(base_config.with_hyperparams(**values), seed=seed)
     try:
         checkpoint, history = train(config, train_set, val_set)
-        best = next(r for r in history if r.epoch == checkpoint.best_epoch)
+        best = history[checkpoint.best_epoch - 1]
         result.val_accuracy = best.val_accuracy
         result.val_loss = best.val_loss
         result.best_epoch = checkpoint.best_epoch
@@ -187,31 +143,12 @@ class FoldResult:
     val_loss: float
     best_epoch: int
 
-    def to_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "seed": self.seed,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "val_loss": self.val_loss,
-            "best_epoch": self.best_epoch,
-        }
-
 
 @dataclass
 class CvReport:
     folds: list[FoldResult]
     mean: dict[str, float]
     std: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "folds": [f.to_dict() for f in self.folds],
-            "mean": self.mean,
-            "std": self.std,
-        }
 
 
 def _run_fold(fold: int, base_config: RunConfig, train_manifest, val_manifest) -> FoldResult:
@@ -221,7 +158,7 @@ def _run_fold(fold: int, base_config: RunConfig, train_manifest, val_manifest) -
     val_set = load_examples(val_manifest)
     checkpoint, history = train(config, train_set, val_set)
     report = evaluate_checkpoint(checkpoint, val_set)
-    best = next(r for r in history if r.epoch == checkpoint.best_epoch)
+    best = history[checkpoint.best_epoch - 1]
     return FoldResult(
         fold=fold,
         seed=seed,

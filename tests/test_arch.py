@@ -1,7 +1,10 @@
 """Architecture spec validation and shape inference."""
 
+import json
+
 import pytest
 
+from wellqc import configio
 from wellqc.errors import ConfigError, ShapeError
 from wellqc.nn.arch import (
     ArchitectureSpec,
@@ -65,7 +68,6 @@ class TestArchitectureSpec:
         arch = default_architecture()
         shapes = arch.validate()
         assert shapes[-1] == (2,)
-        assert arch.layer_count() == len(arch.layers)
 
     def test_default_dense_width_is_editable(self):
         arch = default_architecture(dense_units=64)
@@ -96,12 +98,21 @@ class TestArchitectureSpec:
 
     def test_round_trip_through_dict(self):
         arch = default_architecture()
-        assert ArchitectureSpec.from_dict(arch.to_dict()) == arch
+        assert configio.load(ArchitectureSpec, configio.dump(arch)) == arch
 
     def test_file_round_trip(self, tmp_path):
         arch = default_architecture()
-        arch.to_file(tmp_path / "arch.json")
-        assert ArchitectureSpec.from_file(tmp_path / "arch.json") == arch
+        (tmp_path / "arch.json").write_text(json.dumps(configio.dump(arch)))
+        assert configio.load_file(ArchitectureSpec, tmp_path / "arch.json") == arch
+
+    def test_serialized_key_order(self):
+        assert list(configio.dump(default_architecture())) == ["input_shape", "num_classes", "layers"]
+
+    def test_layer_error_names_its_path(self):
+        d = configio.dump(default_architecture())
+        d["layers"][0] = {"kind": "Conv2D", "out_channels": 8}
+        with pytest.raises(ConfigError, match=r"layers\[0\]: Conv2D layer requires 'kernel_size'"):
+            configio.load(ArchitectureSpec, d)
 
 
 class TestLayerSpecValidation:
@@ -128,5 +139,5 @@ class TestLayerSpecValidation:
 
     def test_dict_round_trip_drops_unset_fields(self):
         layer = LayerSpec("Dense", units=48)
-        assert layer.to_dict() == {"kind": "Dense", "units": 48}
-        assert LayerSpec.from_dict(layer.to_dict()) == layer
+        assert configio.dump(layer) == {"kind": "Dense", "units": 48}
+        assert configio.load(LayerSpec, configio.dump(layer)) == layer

@@ -4,14 +4,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from wellqc.data.augment import AUG_OPS, augment, augment_pixels
-from wellqc.data.wells import CROP_SIZE, LabeledExample, WellImage
+from wellqc.data.augment import AUG_OPS, augment_pixels
+from wellqc.data.manifest import DatasetManifest, ManifestEntry, load_examples
+from wellqc.data.pgm import write_pgm
+from wellqc.data.wells import CROP_SIZE
 
 
-def random_well(seed=0, label=1):
+def augmented_example(root, seed, label, op):
+    """Load one well through a manifest entry that tags it with ``op``."""
     rng = np.random.default_rng(seed)
-    pixels = rng.random((CROP_SIZE, CROP_SIZE, 1)).astype(np.float32)
-    return LabeledExample(image=WellImage(pixels=pixels, source_id=f"w{seed}"), label=label)
+    write_pgm(rng.random((CROP_SIZE, CROP_SIZE)), root / f"w{seed}.pgm")
+    entry = ManifestEntry(path=f"w{seed}.pgm", label=label, origin="augmented", aug=op)
+    return load_examples(DatasetManifest(entries=[entry], root=root))
 
 
 class TestAugmentPixels:
@@ -52,17 +56,17 @@ class TestAugmentPixels:
 
 
 class TestAugmentExample:
-    @pytest.mark.parametrize("op", AUG_OPS)
-    def test_label_is_preserved(self, op):
-        example = random_well(seed=5, label=1)
-        assert augment(example, op).label == 1
+    """Examples are augmented by tagging manifest entries; the op is applied on load."""
 
-    def test_source_id_records_the_op(self):
-        example = random_well(seed=6)
-        assert augment(example, "hflip").image.source_id == "w6+hflip"
+    @pytest.mark.parametrize("op", AUG_OPS)
+    def test_label_is_preserved(self, op, tmp_path):
+        assert augmented_example(tmp_path, seed=5, label=1, op=op).labels.tolist() == [1]
+
+    def test_source_id_records_the_op(self, tmp_path):
+        assert augmented_example(tmp_path, seed=6, label=0, op="hflip").ids == ["w6.pgm+hflip"]
 
     def test_original_pixels_untouched(self):
-        example = random_well(seed=7)
-        before = example.image.pixels.copy()
-        augment(example, "vflip")
-        npt.assert_array_equal(example.image.pixels, before)
+        x = np.random.default_rng(7).random((CROP_SIZE, CROP_SIZE, 1))
+        before = x.copy()
+        augment_pixels(x, "vflip")
+        npt.assert_array_equal(x, before)

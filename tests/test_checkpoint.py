@@ -10,10 +10,24 @@ import pytest
 from wellqc.errors import FormatError
 from wellqc.nn.model import init_model, predict_probs
 from wellqc.optim import Hyperparams
-from wellqc.training.checkpoint import Checkpoint
-from wellqc.training.loop import EpochRecord
+from wellqc.training.checkpoint import Checkpoint, EpochRecord
 
 from tests.test_model import toy_spec
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to the checkpoint's JSON header in place, fixing the length."""
+    data = path.read_bytes()
+    nl = data.find(b"\n")
+    header_len = int(data[:nl].split()[2])
+    header = json.loads(data[nl + 1 : nl + 1 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(b"WELLQC-CKPT v1 %d\n" % len(header_bytes) + header_bytes + data[nl + 1 + header_len :])
+
+
+def set_shape(header, index, shape):
+    header["params"][index]["shape"] = shape
 
 
 def toy_checkpoint(seed=0):
@@ -104,3 +118,47 @@ class TestMalformed:
         (tmp_path / "extra.bin").write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(FormatError, match="trailing"):
             Checkpoint.load(tmp_path / "extra.bin")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("hyperparams"),
+            lambda h: h["hyperparams"].update(learning_rate="x"),
+            lambda h: h["history"][0].pop("train_loss"),
+            lambda h: h["architecture"]["layers"][0].update(out_channels="4"),
+            lambda h: set_shape(h, 0, [-3, 3, 1, 4]),
+            lambda h: set_shape(h, 0, [3, 3, 1, 5]),
+            lambda h: h["params"].append(h["params"][0]),
+            lambda h: h["params"].pop(),
+            lambda h: h["params"][0].update(name="conv9.W"),
+        ],
+        ids=[
+            "missing-hyperparams",
+            "string-learning-rate",
+            "history-row-without-train-loss",
+            "string-out-channels",
+            "negative-shape",
+            "shape-not-the-architecture's",
+            "duplicate-param-name",
+            "missing-param",
+            "unknown-param-name",
+        ],
+    )
+    def test_header_defect_is_a_format_error(self, tmp_path, edit):
+        path = tmp_path / "model.bin"
+        toy_checkpoint().save(path)
+        rewrite_header(path, edit)
+        with pytest.raises(FormatError, match="header"):
+            Checkpoint.load(path)
+
+    def test_header_that_is_not_an_object_is_a_format_error(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"WELLQC-CKPT v1 2\n[]")
+        with pytest.raises(FormatError, match="expected an object"):
+            Checkpoint.load(path)
+
+    def test_negative_header_length_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"WELLQC-CKPT v1 -5\n{}")
+        with pytest.raises(FormatError, match="header length"):
+            Checkpoint.load(path)

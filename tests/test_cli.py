@@ -1,0 +1,126 @@
+"""End to end: every subcommand through ``wellqc.cli.main`` on a fixed-seed corpus.
+
+The whole sequence runs twice in fresh directories. Every call must exit 0,
+the two runs must write byte-identical artifacts, and grid search and
+cross-validation must give the same results with one worker as with two.
+"""
+
+import csv
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wellqc.cli import main
+from wellqc.data.pgm import read_pgm, write_pgm
+from wellqc.training.checkpoint import Checkpoint
+
+FIXED_EPOCHS = ["--set", "hyperparams.epochs=2", "--set", "early_stopping.enabled=false"]
+ONE_EPOCH = ["--set", "hyperparams.epochs=1"]
+EARLY_STOPPING = {"hyperparams": {"epochs": 4, "learning_rate": 0.003}, "early_stopping": {"patience": 1}}
+TOY_ARCH = {
+    "input_shape": [10, 10, 1],
+    "num_classes": 2,
+    "layers": [
+        {"kind": "Conv2D", "out_channels": 3, "kernel_size": 3},
+        {"kind": "ReLU"},
+        {"kind": "MaxPool2D", "window": 2},
+        {"kind": "Flatten"},
+        {"kind": "Dense", "units": 2},
+        {"kind": "Softmax"},
+    ],
+}
+
+
+def call(*argv):
+    assert main(list(argv)) == 0, argv
+
+
+def run_pipeline(root: Path) -> dict[str, bytes]:
+    """gen -> tile -> train -> eval -> predict -> grid-search -> cv -> grad-check in ``root``.
+
+    Returns {relative path: bytes} of every file the sequence leaves behind.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        call("gen", "--seed", "7", "--ok", "12", "--ng", "12", "--out-dir", "corpus")
+        crops = [read_pgm(p)[0] for p in sorted(Path("corpus").glob("*.pgm"))[:6]]
+        write_pgm(np.block([crops[:3], crops[3:]]), "frame.pgm")
+        grid = {"origin_x": 0, "origin_y": 0, "pitch_x": 111, "pitch_y": 111, "rows": 2, "cols": 3}
+        Path("tile_grid.json").write_text(json.dumps(grid))
+        call("tile", "--frame", "frame.pgm", "--grid", "tile_grid.json", "--out-dir", "tiles")
+
+        data = ["--data", "corpus/manifest.tsv"]
+        call("train", *data, "--out-dir", "cnn", "--seed", "3", *FIXED_EPOCHS)
+        Path("early_stopping.json").write_text(json.dumps(EARLY_STOPPING))
+        call("train", *data, "--out-dir", "cnn_es", "--seed", "1", "--config", "early_stopping.json")
+        call("train", "--model", "logistic", *data, "--out-dir", "logistic", *FIXED_EPOCHS)
+        call("eval", "--checkpoint", "cnn/checkpoint.bin", *data, "--out-dir", "eval")
+        call("predict", "--checkpoint", "cnn/checkpoint.bin", "--out-dir", "predict_paths",
+             *sorted(str(p) for p in Path("tiles").glob("*.pgm")))
+        call("predict", "--checkpoint", "cnn_es/checkpoint.bin", *data, "--out-dir", "predict_data")
+
+        Path("hp_grid.json").write_text(json.dumps({"learning_rate": [0.001, 0.0003], "batch_size": [8]}))
+        for jobs in ("1", "2"):
+            call("grid-search", *data, "--grid", "hp_grid.json", "--jobs", jobs, "--out-dir", f"grid{jobs}", *ONE_EPOCH)
+            call("cv", *data, "--k", "2", "--jobs", jobs, "--out-dir", f"cv{jobs}", *ONE_EPOCH)
+        call("train", *data, "--config", "grid1/best_config.json", "--out-dir", "from_best")
+
+        call("grad-check", "--out-dir", "grad_check")
+        Path("arch.json").write_text(json.dumps(TOY_ARCH))
+        call("grad-check", "--arch", "arch.json", "--out-dir", "grad_check_arch")
+        return {str(p): p.read_bytes() for p in sorted(Path(".").rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    return [run_pipeline(tmp_path_factory.mktemp(f"run{i}")) for i in range(2)]
+
+
+def test_every_subcommand_writes_its_artifacts(runs):
+    expected = [
+        "tiles/manifest_skeleton.tsv",
+        *[f"{d}/{name}" for d in ("cnn", "cnn_es", "logistic", "from_best")
+          for name in ("checkpoint.bin", "history.csv", "resolved_config.json")],
+        "eval/report.json", "eval/report.csv", "eval/report.txt",
+        "predict_paths/predictions.csv", "predict_data/predictions.csv",
+        "grid1/grid_results.json", "grid1/grid_results.csv", "grid1/best_config.json", "cv1/cv_report.json",
+        "grad_check/grad_check.json", "grad_check_arch/grad_check.json",
+    ]
+    assert [name for name in expected if name not in runs[0]] == []
+    assert len(runs[0]["predict_paths/predictions.csv"].splitlines()) == 1 + 6
+    assert len(runs[0]["predict_data/predictions.csv"].splitlines()) == 1 + 24
+
+
+def test_rerun_is_byte_identical(runs):
+    first, second = runs
+    assert sorted(first) == sorted(second)
+    assert [name for name in first if first[name] != second[name]] == []
+
+
+@pytest.mark.parametrize("name", ["grid_results.json", "grid_results.csv", "best_config.json"])
+def test_grid_search_jobs_1_matches_jobs_2(runs, name):
+    assert runs[0][f"grid1/{name}"] == runs[0][f"grid2/{name}"]
+
+
+def test_cross_validation_jobs_1_matches_jobs_2(runs):
+    assert runs[0]["cv1/cv_report.json"] == runs[0]["cv2/cv_report.json"]
+
+
+def test_early_stopping_keeps_the_best_epoch(runs, tmp_path):
+    rows = list(csv.DictReader(runs[0]["cnn_es/history.csv"].decode().splitlines()))
+    assert len(rows) < EARLY_STOPPING["hyperparams"]["epochs"]
+    (tmp_path / "checkpoint.bin").write_bytes(runs[0]["cnn_es/checkpoint.bin"])
+    best = Checkpoint.load(tmp_path / "checkpoint.bin").best_epoch
+    assert len(rows) == best + EARLY_STOPPING["early_stopping"]["patience"]
+
+
+def test_best_config_resolves_to_itself(runs):
+    best = json.loads(runs[0]["grid1/best_config.json"])
+    assert json.loads(runs[0]["from_best/resolved_config.json"]) == best
+
+
+def test_grad_check_passes(runs):
+    for name in ("grad_check/grad_check.json", "grad_check_arch/grad_check.json"):
+        assert json.loads(runs[0][name])["passed"] is True

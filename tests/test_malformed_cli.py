@@ -1,0 +1,130 @@
+"""Malformed inputs through the CLI: the documented exit code and one stderr line.
+
+Exit code 1 is a contract violation (here: a config the strict loader
+rejects), exit code 2 an I/O or format error (a defective checkpoint header
+or manifest). No input may end in a traceback.
+"""
+
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from wellqc import configio
+from wellqc.cli import main
+from wellqc.data.pgm import write_pgm
+from wellqc.nn.arch import default_architecture
+
+from tests.test_checkpoint import rewrite_header
+
+TRAIN = ["train", "--data", "{corpus}", "--out-dir", "{tmp}/out"]
+GRID_SEARCH = ["grid-search", "--data", "{corpus}", "--grid", "{tmp}/input.json", "--out-dir", "{tmp}/out"]
+TILE = ["tile", "--frame", "{frame}", "--grid", "{tmp}/input.json", "--out-dir", "{tmp}/out"]
+GRAD_CHECK = ["grad-check", "--arch", "{tmp}/input.json", "--out-dir", "{tmp}/out"]
+CONFIG = [*TRAIN, "--config", "{tmp}/input.json"]
+EVAL = ["eval", "--checkpoint", "{checkpoint}", "--data", "{corpus}", "--out-dir", "{tmp}/out"]
+
+TILE_GRID = {"origin_x": 0, "origin_y": 0, "pitch_x": 111, "pitch_y": 111, "rows": 1, "cols": 1}
+ARCH = configio.dump(default_architecture())
+ARCH_STRING_CHANNELS = json.loads(json.dumps(ARCH))
+ARCH_STRING_CHANNELS["layers"][0]["out_channels"] = "4"
+
+# id, argv, contents of {tmp}/input.json (None: not written), what the error line names
+CONFIG_CASES = [
+    ("set-learning-rate-abc", [*TRAIN, "--set", "hyperparams.learning_rate=abc"], None,
+     'hyperparams.learning_rate: expected a number, got "abc"'),
+    ("set-epochs-float", [*TRAIN, "--set", "hyperparams.epochs=1.5"], None,
+     "hyperparams.epochs: expected an integer, got 1.5"),
+    ("set-enabled-python-False", [*TRAIN, "--set", "early_stopping.enabled=False"], None,
+     'early_stopping.enabled: expected a boolean, got "False"'),
+    ("set-unknown-architecture-key", [*TRAIN, "--set", "architecture.bogus=1"], None,
+     "architecture: unknown key(s) 'bogus'"),
+    ("set-seed-float", [*TRAIN, "--set", "seed=1.7"], None,
+     "seed: expected an integer, got 1.7"),
+    ("grid-scalar-axis", GRID_SEARCH, {"learning_rate": 0.1},
+     "learning_rate: expected an array, got 0.1"),
+    ("grid-float-batch-size", GRID_SEARCH, {"batch_size": [2.5]},
+     "batch_size[0]: expected an integer, got 2.5"),
+    ("tile-float-origin", TILE, {**TILE_GRID, "origin_x": 0.9},
+     "origin_x: expected an integer, got 0.9"),
+    ("tile-string-pitch", TILE, {**TILE_GRID, "pitch_x": "a"},
+     'pitch_x: expected an integer, got "a"'),
+    ("arch-string-out-channels", GRAD_CHECK, ARCH_STRING_CHANNELS,
+     'layers[0].out_channels: expected an integer, got "4"'),
+    ("arch-unknown-top-level-key", GRAD_CHECK, {**ARCH, "comment": "shipped model"},
+     "unknown key(s) 'comment'"),
+    ("config-string-patience", CONFIG, {"early_stopping": {"patience": "3"}},
+     'early_stopping.patience: expected an integer, got "3"'),
+    ("config-top-level-list", CONFIG, [{"seed": 1}],
+     "the top level must be a JSON object"),
+]
+
+# id, edit of the checkpoint's JSON header, what the error line names
+CHECKPOINT_CASES = [
+    ("missing-hyperparams", lambda h: h.pop("hyperparams"), "hyperparams: missing required key"),
+    ("string-learning-rate", lambda h: h["hyperparams"].update(learning_rate="x"),
+     'hyperparams.learning_rate: expected a number, got "x"'),
+    ("history-row-without-train-loss", lambda h: h["history"][0].pop("train_loss"),
+     "history[0].train_loss: missing required key"),
+    ("negative-shape", lambda h: h["params"][0].update(shape=[-12321, 2]), "header params are not"),
+    ("duplicate-param-name", lambda h: h["params"].append(h["params"][0]), "header params are not"),
+]
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """A small corpus, a one-well frame and a trained logistic checkpoint."""
+    root = tmp_path_factory.mktemp("workspace")
+    assert main(["gen", "--seed", "1", "--ok", "4", "--ng", "4", "--out-dir", str(root / "corpus")]) == 0
+    assert main([
+        "train", "--model", "logistic", "--data", str(root / "corpus" / "manifest.tsv"),
+        "--out-dir", str(root / "model"), "--set", "hyperparams.epochs=1",
+    ]) == 0
+    write_pgm(np.zeros((111, 111)), root / "frame.pgm")
+    return {
+        "corpus": str(root / "corpus" / "manifest.tsv"),
+        "frame": str(root / "frame.pgm"),
+        "checkpoint": str(root / "model" / "checkpoint.bin"),
+    }
+
+
+def run_cli(argv, capsys, **paths):
+    capsys.readouterr()
+    code = main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    return code, err.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, content, names", [case[1:] for case in CONFIG_CASES], ids=[case[0] for case in CONFIG_CASES]
+)
+def test_malformed_config_exits_1_with_one_line(workspace, tmp_path, capsys, argv, content, names):
+    if content is not None:
+        (tmp_path / "input.json").write_text(json.dumps(content))
+    code, lines = run_cli(argv, capsys, tmp=tmp_path, **workspace)
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: ConfigError: "), lines
+    assert names in lines[0]
+
+
+@pytest.mark.parametrize(
+    "edit, names", [case[1:] for case in CHECKPOINT_CASES], ids=[case[0] for case in CHECKPOINT_CASES]
+)
+def test_defective_checkpoint_header_exits_2_with_one_line(workspace, tmp_path, capsys, edit, names):
+    bad = tmp_path / "checkpoint.bin"
+    shutil.copyfile(workspace["checkpoint"], bad)
+    rewrite_header(bad, edit)
+    code, lines = run_cli(EVAL, capsys, tmp=tmp_path, **{**workspace, "checkpoint": bad})
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: FormatError: "), lines
+    assert names in lines[0]
+
+
+def test_non_integer_manifest_label_exits_2_with_its_offset(workspace, tmp_path, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("#wellqc-manifest v1 num_classes=2\nwell.pgm\tx\treal\tnone\n")
+    code, lines = run_cli(EVAL, capsys, tmp=tmp_path, **{**workspace, "corpus": manifest})
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: FormatError: "), lines
+    assert "label 'x'" in lines[0] and "(byte offset 34)" in lines[0]

@@ -7,7 +7,6 @@ import pytest
 from wellqc.errors import FormatError, InsufficientOriginals, LabelError
 from wellqc.data.augment import augment_pixels
 from wellqc.data.manifest import (
-    Dataset,
     DatasetManifest,
     ManifestEntry,
     expand_dataset,
@@ -73,6 +72,14 @@ class TestManifestFile:
         with pytest.raises(FormatError, match="fill in"):
             DatasetManifest.load(path)
 
+    def test_non_integer_label_is_a_format_error_with_offset(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        header = "#wellqc-manifest v1 num_classes=2\n"
+        path.write_text(header + "a.pgm\t0\treal\tnone\nb.pgm\tx\treal\tnone\n")
+        with pytest.raises(FormatError, match="'x'") as info:
+            DatasetManifest.load(path)
+        assert info.value.offset == len(header) + len("a.pgm\t0\treal\tnone\n")
+
 
 class TestExpandDataset:
     def test_125_originals_reach_500_using_all_three_ops(self):
@@ -132,12 +139,3 @@ class TestLoadExamples:
         npt.assert_allclose(dataset.images[0, :, :, 0], raw, atol=1e-6)
         npt.assert_array_equal(dataset.images[1, :, :, 0], augment_pixels(dataset.images[0, :, :, 0], "hflip"))
         assert dataset.ids == ["well.pgm", "well.pgm+hflip"]
-
-    def test_subset_keeps_alignment(self):
-        images = np.zeros((4, CROP_SIZE, CROP_SIZE, 1), dtype=np.float32)
-        images[2, 0, 0, 0] = 1.0
-        dataset = Dataset(images=images, labels=np.array([0, 0, 1, 1]), ids=["a", "b", "c", "d"])
-        sub = dataset.subset([2, 0])
-        assert sub.ids == ["c", "a"]
-        npt.assert_array_equal(sub.labels, [1, 0])
-        assert sub.images[0, 0, 0, 0] == 1.0

@@ -173,8 +173,7 @@ class TestReports:
         report = small_report()
         path = tmp_path / "report.json"
         emit_report(report, path, format="json")
-        loaded = MetricsReport.from_dict(json.loads(path.read_text()))
-        assert loaded == report
+        assert json.loads(path.read_text()) == report.to_dict()
 
     def test_text_header_is_exact(self):
         assert TEXT_HEADER == "Method, Accuracy, Precision, Recall, F1 score"

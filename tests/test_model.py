@@ -183,9 +183,6 @@ class TestInit:
         limit = np.sqrt(6.0 / w.shape[0])
         assert float(np.abs(w).max()) <= limit
 
-    def test_weight_keys_are_the_W_entries(self, toy_model):
-        assert set(toy_model.weight_keys()) == {"conv1.W", "dense1.W", "dense2.W"}
-
 
 class TestPredictProbs:
     def test_batching_does_not_change_results(self, toy_model):

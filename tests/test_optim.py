@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from wellqc import configio
 from wellqc.errors import ConfigError, NonFiniteGradient
 from wellqc.optim import (
     ADAM_BETA1,
@@ -186,12 +187,12 @@ class TestHyperparams:
     )
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ConfigError):
-            Hyperparams(**bad).validate()
+            Hyperparams(**bad)
 
     def test_dict_round_trip(self):
         hp = Hyperparams(learning_rate=0.01, batch_size=8)
-        assert Hyperparams.from_dict(hp.to_dict()) == hp
+        assert configio.load(Hyperparams, configio.dump(hp)) == hp
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError):
-            Hyperparams.from_dict({"learning_rate": 0.1, "momentum": 0.9})
+        with pytest.raises(ConfigError, match="momentum"):
+            configio.load(Hyperparams, {"learning_rate": 0.1, "momentum": 0.9})

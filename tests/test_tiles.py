@@ -1,9 +1,12 @@
 """Frame tiling: crop geometry, ordering, and bound enforcement."""
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from wellqc import configio
 from wellqc.errors import ConfigError, GridOutOfBounds
 from wellqc.data.tiles import ScanFrame, TileGrid, tile_scan
 from wellqc.data.wells import CROP_SIZE
@@ -77,14 +80,12 @@ class TestTileGridConfig:
     def test_json_round_trip(self, tmp_path):
         grid = TileGrid(origin_x=10, origin_y=10, pitch_x=130, pitch_y=130, rows=21, cols=29)
         path = tmp_path / "grid.json"
-        import json
-
-        path.write_text(json.dumps(grid.to_dict()))
-        assert TileGrid.from_file(path) == grid
+        path.write_text(json.dumps(configio.dump(grid)))
+        assert configio.load_file(TileGrid, path) == grid
 
     def test_missing_key_rejected(self):
         with pytest.raises(ConfigError, match="missing"):
-            TileGrid.from_dict({"origin_x": 0})
+            configio.load(TileGrid, {"origin_x": 0})
 
     def test_negative_origin_rejected(self):
         with pytest.raises(ConfigError):

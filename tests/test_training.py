@@ -6,13 +6,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from wellqc import configio
+from wellqc.data.manifest import Dataset
 from wellqc.errors import NonFiniteGradient
 from wellqc.nn.arch import ArchitectureSpec, LayerSpec
+from wellqc.training.checkpoint import HISTORY_COLUMNS, EpochRecord
 from wellqc.training.config import EarlyStoppingConfig, RunConfig, default_run_config
 from wellqc.training.loop import (
-    EpochRecord,
     batch_slices,
-    early_stop_check,
+    best_epoch,
     evaluate_model,
     history_csv,
     train,
@@ -46,29 +48,33 @@ class TestBatchSlices:
 
 
 class TestEarlyStopCheck:
+    """best_epoch is the one early-stopping rule: train() stops once
+    epoch - best_epoch(history) >= patience and keeps the best epoch's weights."""
+
     def test_strictly_decreasing_never_stops(self):
         history = [record(i + 1, 1.0 - 0.01 * i) for i in range(40)]
-        assert early_stop_check(history, "val_loss", 5) is None
+        assert best_epoch(history, "val_loss") == 40
 
     def test_hand_traced_stop_pattern(self):
         losses = [1.0, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
         history = [record(i + 1, v) for i, v in enumerate(losses)]
         # not before patience is exhausted ...
-        assert early_stop_check(history[:6], "val_loss", 5) is None
+        assert 6 - best_epoch(history[:6], "val_loss") < 5
         # ... stops after epoch 7, keeping epoch 2
-        assert early_stop_check(history, "val_loss", 5) == 2
+        assert best_epoch(history, "val_loss") == 2
+        assert 7 - best_epoch(history, "val_loss") >= 5
 
     def test_tie_is_not_improvement(self):
         history = [record(1, 0.5), record(2, 0.5)]
-        assert early_stop_check(history, "val_loss", 1) == 1
+        assert best_epoch(history, "val_loss") == 1
 
     def test_accuracy_metric_maximizes(self):
         history = [record(1, 1.0, 0.9), record(2, 1.0, 0.8), record(3, 1.0, 0.7)]
-        assert early_stop_check(history, "val_accuracy", 2) == 1
+        assert best_epoch(history, "val_accuracy") == 1
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            early_stop_check([], "val_loss", 5)
+            best_epoch([], "val_loss")
 
 
 class TestTrainLoop:
@@ -122,7 +128,8 @@ class TestTrainLoop:
         )
         checkpoint, history = train(config, train_set, val_set)
         assert len(history) < 40
-        assert checkpoint.best_epoch <= len(history)
+        assert checkpoint.best_epoch == best_epoch(history, "val_loss")
+        assert len(history) == checkpoint.best_epoch + 3
 
     def test_early_stopping_can_be_disabled(self, small_split):
         train_set, val_set = small_split
@@ -151,7 +158,7 @@ class TestTrainLoop:
     def test_empty_sets_rejected(self, small_split):
         train_set, val_set = small_split
         with pytest.raises(ValueError):
-            train(small_config(), train_set.subset([]), val_set)
+            train(small_config(), Dataset(images=train_set.images[:0], labels=train_set.labels[:0]), val_set)
 
 
 class TestHistoryCsv:
@@ -163,11 +170,8 @@ class TestHistoryCsv:
         assert len(lines) == 3
 
     def test_wall_time_never_serialized(self):
-        r = EpochRecord(
-            epoch=1, train_loss=1.0, train_ce=0.9, train_accuracy=0.5,
-            val_loss=0.8, val_accuracy=0.6, wall_time=123.456,
-        )
-        assert "123" not in history_csv([r])
+        r = record(1, 0.8)
+        assert tuple(configio.dump(r)) == HISTORY_COLUMNS
         assert "wall" not in history_csv([r])
 
 
