@@ -5,8 +5,8 @@
 
 - an unknown key, a missing required key or a value of the wrong JSON type
   raises ConfigError naming the dotted path of the key;
-- a bool is not an int; an int is accepted for a float and kept as written,
-  so a loaded config dumps back to the same JSON;
+- a bool is not an int, and NaN and +-Infinity are not numbers; an int is
+  accepted for a float and kept as written, so a config dumps back as read;
 - ``X | None`` also takes null, ``tuple[...]`` takes an array and a nested
   dataclass takes an object.
 
@@ -16,6 +16,7 @@ out, tuples as arrays.
 
 import dataclasses
 import json
+import math
 import types
 import typing
 
@@ -96,6 +97,8 @@ def _decode(tp, value, path: str):
     accepted = (int, float) if tp is float else tp
     if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
         raise _wrong_type(path, _EXPECTED.get(tp, tp.__name__), value)
+    if tp is float and not math.isfinite(value):
+        raise _wrong_type(path, "a finite number", value)
     return value
 
 

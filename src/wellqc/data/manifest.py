@@ -80,8 +80,14 @@ class DatasetManifest:
     @classmethod
     def load(cls, path) -> "DatasetManifest":
         path = Path(path)
-        text = path.read_text(encoding="utf-8")
-        lines = text.splitlines()
+        lines, offsets, offset = [], [], 0
+        for raw in path.read_bytes().splitlines(keepends=True):
+            try:
+                lines.append(raw.decode("utf-8").rstrip("\r\n"))
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: not UTF-8 text ({exc.reason})", offset=offset + exc.start) from None
+            offsets.append(offset)
+            offset += len(raw)
         if not lines or not lines[0].startswith("#wellqc-manifest "):
             raise FormatError(f"{path}: missing manifest header line", offset=0)
         header = lines[0].split()
@@ -93,8 +99,7 @@ class DatasetManifest:
         if version != MANIFEST_VERSION:
             raise FormatError(f"{path}: unsupported manifest version {version}")
         entries = []
-        offset = len(lines[0]) + 1
-        for line in lines[1:]:
+        for line, offset in zip(lines[1:], offsets[1:]):
             if line.strip():
                 parts = line.split("\t")
                 if len(parts) != 4:
@@ -112,7 +117,6 @@ class DatasetManifest:
                         f"{path}: entry {p} has label {label!r}, not an integer", offset=offset
                     ) from None
                 entries.append(ManifestEntry(path=p, label=label, origin=origin, aug=aug))
-            offset += len(line) + 1
         return cls(entries=entries, num_classes=num_classes, version=version, root=path.parent)
 
 

@@ -126,8 +126,8 @@ def model_forward(model: Model, batch, rng=None):
             out = ops.relu(x)
             cache.append((x,))
         elif kind == "MaxPool2D":
-            out, arg = ops.maxpool2d_forward(x, layer.window, layer.effective_stride)
-            cache.append((x.shape, arg))
+            out = ops.maxpool2d_forward(x, layer.window, layer.effective_stride)
+            cache.append((x, out))
         elif kind == "Flatten":
             out = ops.flatten(x)
             cache.append((x.shape,))
@@ -177,8 +177,8 @@ def model_backward(model: Model, cache, labels) -> dict[str, np.ndarray]:
             (x,) = cache[idx]
             g = ops.relu_backward(g, x)
         elif kind == "MaxPool2D":
-            in_shape, arg = cache[idx]
-            g = ops.maxpool2d_backward(g, arg, in_shape, layer.window, layer.effective_stride)
+            x, _ = cache[idx]
+            g = ops.maxpool2d_backward(g, cache[idx], x.shape, layer.window, layer.effective_stride)
         elif kind == "Flatten":
             (in_shape,) = cache[idx]
             g = ops.flatten_backward(g, in_shape)
@@ -210,5 +210,5 @@ def predict_probs(model: Model, images, labels=None, batch_size: int = 64):
         chunks.append(probs)
         if labels is not None:
             total_ce += model_loss(cache, labels[start:stop]) * (stop - start)
-    probs = np.concatenate(chunks, axis=0)
+    probs = np.concatenate(chunks, axis=0) if chunks else np.empty((0, model.spec.num_classes), model.dtype)
     return probs if labels is None else (probs, total_ce / n)

@@ -10,6 +10,13 @@ the gradient-check harness runs the identical code in float64.
 
 Convolutions are "valid" (no padding): output side = input side - kernel
 side + 1 for stride 1, and (input - kernel) // stride + 1 in general.
+
+Convolution (im2col + one GEMM, Chellapilla, Puri & Simard 2006) and max
+pooling read their input through one zero-copy window view, ``_windows``, and
+both backward passes sum onto the input through one ``_scatter_add``. Pooling's
+forward is a running maximum, with no argmax; its tie rule lives in the
+backward pass, which routes each gradient to the first cell, in row-major
+window order, that equals the window's output.
 """
 
 import numpy as np
@@ -29,35 +36,36 @@ def conv_output_hw(h, w, kh, kw, stride):
     return (h - kh) // stride + 1, (w - kw) // stride + 1
 
 
-def _im2col(x, kh, kw, stride):
-    """Gather sliding windows of ``x`` (N,H,W,C) into (N, OH, OW, KH*KW*C).
+def _windows(x, kh, kw, stride):
+    """Zero-copy (N, OH, OW, KH, KW, C) view: [n, i, j, dy, dx] is x[n, i*stride+dy, j*stride+dx]."""
+    conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride)
+    view = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    return view[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
 
-    The last axis is ordered (dy, dx, c) row-major, matching the flattening
-    of a (KH, KW, C_in, C_out) weight tensor into (KH*KW*C_in, C_out).
+
+def _scatter_add(gx, kh, kw, stride, piece):
+    """Add every window's gradient into ``gx``, one position at a time in row-major order.
+
+    ``piece(dy, dx)`` is the (N, OH, OW, C) gradient each window sends to its cell (dy, dx).
+    """
+    oh, ow = conv_output_hw(gx.shape[1], gx.shape[2], kh, kw, stride)
+    for dy, dx in np.ndindex(kh, kw):
+        gx[:, dy : dy + (oh - 1) * stride + 1 : stride, dx : dx + (ow - 1) * stride + 1 : stride] += piece(dy, dx)
+    return gx
+
+
+def _im2col(x, kh, kw, stride):
+    """The windows of ``x`` (N,H,W,C) as a (N*OH*OW, KH*KW*C) matrix.
+
+    Columns are ordered (dy, dx, c) row-major, matching the flattening of a
+    (KH, KW, C_in, C_out) weight tensor into (KH*KW*C_in, C_out). One ``take``
+    of whole C-vectors, indexed by the windows of a pixel-index plane, stays
+    fast at C = 1, where copying the window view of ``x`` is not.
     """
     n, h, w, c = x.shape
-    oh, ow = conv_output_hw(h, w, kh, kw, stride)
-    cols = np.empty((n, oh, ow, kh, kw, c), dtype=x.dtype)
-    for dy in range(kh):
-        ylim = dy + (oh - 1) * stride + 1
-        for dx in range(kw):
-            xlim = dx + (ow - 1) * stride + 1
-            cols[:, :, :, dy, dx, :] = x[:, dy:ylim:stride, dx:xlim:stride, :]
-    return cols.reshape(n, oh, ow, kh * kw * c)
-
-
-def _col2im(gcols, input_shape, kh, kw, stride):
-    """Scatter-add window gradients (N, OH, OW, KH*KW*C) back onto the input."""
-    n, h, w, c = input_shape
-    oh, ow = conv_output_hw(h, w, kh, kw, stride)
-    gcols = gcols.reshape(n, oh, ow, kh, kw, c)
-    gx = np.zeros(input_shape, dtype=gcols.dtype)
-    for dy in range(kh):
-        ylim = dy + (oh - 1) * stride + 1
-        for dx in range(kw):
-            xlim = dx + (ow - 1) * stride + 1
-            gx[:, dy:ylim:stride, dx:xlim:stride, :] += gcols[:, :, :, dy, dx, :]
-    return gx
+    pixels = _windows(np.arange(h * w).reshape(1, h, w, 1), kh, kw, stride)
+    cols = x.reshape(n, h * w, c).take(pixels.reshape(-1), axis=1)
+    return cols.reshape(n * pixels.shape[1] * pixels.shape[2], kh * kw * c)
 
 
 def conv2d_forward(x, weights, bias, stride=1):
@@ -74,11 +82,9 @@ def conv2d_forward(x, weights, bias, stride=1):
         raise ShapeError(f"input has {x.shape[3]} channels but weights expect {cin}")
     if bias.shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
-    n = x.shape[0]
     oh, ow = conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride)
-    cols = _im2col(x, kh, kw, stride)
-    out = cols.reshape(-1, kh * kw * cin) @ weights.reshape(kh * kw * cin, cout)
-    out = out.reshape(n, oh, ow, cout) + bias
+    out = _im2col(x, kh, kw, stride) @ weights.reshape(kh * kw * cin, cout)
+    out = out.reshape(x.shape[0], oh, ow, cout) + bias
     return out.astype(x.dtype, copy=False)
 
 
@@ -92,11 +98,10 @@ def conv2d_backward(grad_out, cached_input, weights, stride=1):
         raise ShapeError(f"grad_out shape {g.shape} does not match forward output {(x.shape[0], oh, ow, cout)}")
 
     gb = g.sum(axis=(0, 1, 2))
-    cols = _im2col(x, kh, kw, stride)
     gflat = g.reshape(-1, cout)
-    gw = cols.reshape(-1, kh * kw * cin).T @ gflat
-    gcols = gflat @ weights.reshape(kh * kw * cin, cout).T
-    gx = _col2im(gcols.reshape(x.shape[0], oh, ow, -1), x.shape, kh, kw, stride)
+    gw = _im2col(x, kh, kw, stride).T @ gflat
+    gcols = (gflat @ weights.reshape(kh * kw * cin, cout).T).reshape(x.shape[0], oh, ow, kh, kw, cin)
+    gx = _scatter_add(np.zeros(x.shape, gcols.dtype), kh, kw, stride, lambda dy, dx: gcols[:, :, :, dy, dx, :])
     return gx, gw.reshape(weights.shape), gb
 
 
@@ -104,50 +109,36 @@ def conv2d_backward(grad_out, cached_input, weights, stride=1):
 # max pooling
 # ---------------------------------------------------------------------------
 
-def _pool_windows(x, window, stride):
-    """Gather pooling windows into (N, OH, OW, window*window, C)."""
-    n, h, w, c = x.shape
-    oh, ow = conv_output_hw(h, w, window, window, stride)
-    wins = np.empty((n, oh, ow, window, window, c), dtype=x.dtype)
-    for dy in range(window):
-        ylim = dy + (oh - 1) * stride + 1
-        for dx in range(window):
-            xlim = dx + (ow - 1) * stride + 1
-            wins[:, :, :, dy, dx, :] = x[:, dy:ylim:stride, dx:xlim:stride, :]
-    return wins.reshape(n, oh, ow, window * window, c)
-
-
 def maxpool2d_forward(x, window, stride=None):
-    """Max pooling; returns (output, argmax_indices).
+    """Max pooling: the maximum of each window, NaN if the window holds one."""
+    wins = _windows(x, window, window, window if stride is None else stride)
+    out = None
+    for dy, dx in np.ndindex(window, window):
+        cell = wins[:, :, :, dy, dx, :]
+        # On a tie np.maximum returns its second argument: the earlier cell, sign of zero included.
+        out = cell.copy() if out is None else np.maximum(cell, out, out=out)
+    return out
 
-    Argmax indices are positions within each window flattened row-major, so
-    ties resolve to the first maximum in row-major scan order, which makes the
-    backward pass deterministic.
+
+def maxpool2d_backward(grad_out, cache, input_shape, window, stride=None):
+    """Route each output gradient to its window's first maximum in row-major order.
+
+    ``cache`` is the forward's (input, output). A window whose maximum is NaN
+    passes no gradient. As in relu_backward the gradient is masked by a
+    product, so a non-finite gradient also reaches its window's other cells.
     """
-    if stride is None:
-        stride = window
-    wins = _pool_windows(x, window, stride)
-    arg = wins.argmax(axis=3)
-    out = np.take_along_axis(wins, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return out, arg
+    x, out = cache
+    stride = window if stride is None else stride
+    wins = _windows(x, window, window, stride)
+    unrouted = np.ones(out.shape, dtype=bool)
 
+    def first_max(dy, dx):
+        hit = wins[:, :, :, dy, dx, :] == out
+        hit &= unrouted
+        np.logical_xor(unrouted, hit, out=unrouted)  # hit is a subset of unrouted
+        return grad_out * hit
 
-def maxpool2d_backward(grad_out, argmax, input_shape, window, stride=None):
-    """Route each output gradient to the input cell that produced the max."""
-    if stride is None:
-        stride = window
-    n, h, w, c = input_shape
-    oh, ow = conv_output_hw(h, w, window, window, stride)
-    gwin = np.zeros((n, oh, ow, window * window, c), dtype=grad_out.dtype)
-    np.put_along_axis(gwin, argmax[:, :, :, None, :], grad_out[:, :, :, None, :], axis=3)
-    gwin = gwin.reshape(n, oh, ow, window, window, c)
-    gx = np.zeros(input_shape, dtype=grad_out.dtype)
-    for dy in range(window):
-        ylim = dy + (oh - 1) * stride + 1
-        for dx in range(window):
-            xlim = dx + (ow - 1) * stride + 1
-            gx[:, dy:ylim:stride, dx:xlim:stride, :] += gwin[:, :, :, dy, dx, :]
-    return gx
+    return _scatter_add(np.zeros(input_shape, grad_out.dtype), window, window, stride, first_max)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,12 @@ CONFIG_CASES = [
      "architecture: unknown key(s) 'bogus'"),
     ("set-seed-float", [*TRAIN, "--set", "seed=1.7"], None,
      "seed: expected an integer, got 1.7"),
+    ("set-learning-rate-nan", [*TRAIN, "--set", "hyperparams.learning_rate=NaN"], None,
+     "hyperparams.learning_rate: expected a finite number, got NaN"),
+    ("set-l2-infinity", [*TRAIN, "--set", "hyperparams.l2_lambda=Infinity"], None,
+     "hyperparams.l2_lambda: expected a finite number, got Infinity"),
+    ("grid-minus-infinity-learning-rate", GRID_SEARCH, {"learning_rate": [0.001, float("-inf")]},
+     "learning_rate[1]: expected a finite number, got -Infinity"),
     ("grid-scalar-axis", GRID_SEARCH, {"learning_rate": 0.1},
      "learning_rate: expected an array, got 0.1"),
     ("grid-float-batch-size", GRID_SEARCH, {"batch_size": [2.5]},
@@ -128,3 +134,25 @@ def test_non_integer_manifest_label_exits_2_with_its_offset(workspace, tmp_path,
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: FormatError: "), lines
     assert "label 'x'" in lines[0] and "(byte offset 34)" in lines[0]
+
+
+# id, manifest bytes, what the error line names; the offset counts bytes, not characters
+MANIFEST_CASES = [
+    ("non-utf8-path", b"#wellqc-manifest v1 num_classes=2\n\xff\xfe.pgm\t0\treal\tnone\n",
+     "not UTF-8 text (invalid start byte) (byte offset 34)"),
+    ("bad-label-after-non-ascii-path",
+     "#wellqc-manifest v1 num_classes=2\nbrunnen-\u00fc.pgm\t0\treal\tnone\nwell.pgm\tx\treal\tnone\n".encode(),
+     "label 'x', not an integer (byte offset 61)"),
+]
+
+
+@pytest.mark.parametrize(
+    "content, names", [case[1:] for case in MANIFEST_CASES], ids=[case[0] for case in MANIFEST_CASES]
+)
+def test_defective_manifest_exits_2_with_its_byte_offset(workspace, tmp_path, capsys, content, names):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(content)
+    code, lines = run_cli(EVAL, capsys, tmp=tmp_path, **{**workspace, "corpus": manifest})
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: FormatError: "), lines
+    assert names in lines[0]

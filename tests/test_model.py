@@ -199,3 +199,7 @@ class TestPredictProbs:
         a = predict_probs(toy_model, images, batch_size=4)
         b = predict_probs(toy_model, images, batch_size=4)
         npt.assert_array_equal(a, b)
+
+    def test_zero_images_give_an_empty_row_stack(self, toy_model):
+        probs = predict_probs(toy_model, np.empty((0, 12, 12, 1), dtype=np.float32))
+        assert probs.shape == (0, 2) and probs.dtype == toy_model.dtype

@@ -133,28 +133,27 @@ class TestConv2dBackward:
 class TestMaxPool:
     def test_constant_image_pools_to_constant(self):
         x = np.full((1, 6, 6, 2), 0.25)
-        out, _ = ops.maxpool2d_forward(x, window=2, stride=2)
+        out = ops.maxpool2d_forward(x, window=2, stride=2)
         npt.assert_allclose(out, 0.25)
         assert out.shape == (1, 3, 3, 2)
 
     def test_picks_window_max(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 4, 4, 1)
-        out, _ = ops.maxpool2d_forward(x, window=2, stride=2)
+        out = ops.maxpool2d_forward(x, window=2, stride=2)
         npt.assert_allclose(out[0, :, :, 0], [[5, 7], [13, 15]])
 
     def test_tie_routes_to_first_in_row_major_order(self):
         x = np.ones((1, 2, 2, 1))
-        out, arg = ops.maxpool2d_forward(x, window=2, stride=2)
-        assert arg[0, 0, 0, 0] == 0  # all equal: first window cell wins
-        g = ops.maxpool2d_backward(np.ones((1, 1, 1, 1)), arg, x.shape, window=2, stride=2)
-        npt.assert_allclose(g[0, :, :, 0], [[1, 0], [0, 0]])
+        out = ops.maxpool2d_forward(x, window=2, stride=2)
+        g = ops.maxpool2d_backward(np.ones((1, 1, 1, 1)), (x, out), x.shape, window=2, stride=2)
+        npt.assert_allclose(g[0, :, :, 0], [[1, 0], [0, 0]])  # all equal: first window cell wins
 
     def test_backward_routes_to_argmax(self):
         rng = np.random.default_rng(6)
         x = rng.random((2, 6, 6, 3))
-        out, arg = ops.maxpool2d_forward(x, window=2, stride=2)
+        out = ops.maxpool2d_forward(x, window=2, stride=2)
         g = rng.standard_normal(out.shape)
-        gx = ops.maxpool2d_backward(g, arg, x.shape, window=2, stride=2)
+        gx = ops.maxpool2d_backward(g, (x, out), x.shape, window=2, stride=2)
         # total gradient is conserved and lands only on max positions
         npt.assert_allclose(gx.sum(), g.sum(), rtol=1e-6)
         assert np.count_nonzero(gx) == out.size
@@ -162,14 +161,150 @@ class TestMaxPool:
     def test_overlapping_windows_accumulate(self):
         x = np.arange(9, dtype=np.float64).reshape(1, 3, 3, 1)
         x[0, 1, 1, 0] = 100.0  # center belongs to all four stride-1 windows
-        out, arg = ops.maxpool2d_forward(x, window=2, stride=1)
+        out = ops.maxpool2d_forward(x, window=2, stride=1)
         g = np.ones(out.shape)
-        gx = ops.maxpool2d_backward(g, arg, x.shape, window=2, stride=1)
+        gx = ops.maxpool2d_backward(g, (x, out), x.shape, window=2, stride=1)
         assert gx[0, 1, 1, 0] == pytest.approx(4.0)
 
     def test_window_exceeding_input_raises(self):
         with pytest.raises(ShapeError):
             ops.maxpool2d_forward(np.zeros((1, 2, 2, 1)), window=3, stride=1)
+
+    def test_nan_in_window_gives_nan_output(self):
+        x = np.zeros((1, 4, 4, 1), dtype=np.float32)
+        x[0, 1, 2, 0] = np.nan
+        out = ops.maxpool2d_forward(x, window=2, stride=2)
+        assert np.isnan(out[0, 0, 1, 0])
+        assert np.count_nonzero(np.isnan(out)) == 1
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_finite_differences(self, stride):
+        rng = np.random.default_rng(14)
+        x = rng.permutation(2 * 7 * 7 * 2).reshape(2, 7, 7, 2) / 10.0  # 0.1 apart: no tie within h
+        proj = rng.standard_normal(ops.maxpool2d_forward(x, 2, stride).shape)
+
+        def loss():
+            return float((ops.maxpool2d_forward(x, 2, stride) * proj).sum())
+
+        out = ops.maxpool2d_forward(x, 2, stride)
+        gx = ops.maxpool2d_backward(proj, (x, out), x.shape, 2, stride)
+        h = 1e-3  # the loss is linear between ties, so a large step only shrinks roundoff
+        flat = x.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            plus = loss()
+            flat[i] = orig - h
+            minus = loss()
+            flat[i] = orig
+            assert gx.reshape(-1)[i] == pytest.approx((plus - minus) / (2 * h), rel=1e-6, abs=1e-8)
+
+
+def im2col_oracle(x, kh, kw, stride):
+    """Reference gather: one strided copy per window offset (dy, dx)."""
+    n, h, w, c = x.shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    cols = np.empty((n, oh, ow, kh, kw, c), dtype=x.dtype)
+    for dy in range(kh):
+        ylim = dy + (oh - 1) * stride + 1
+        for dx in range(kw):
+            xlim = dx + (ow - 1) * stride + 1
+            cols[:, :, :, dy, dx, :] = x[:, dy:ylim:stride, dx:xlim:stride, :]
+    return cols
+
+
+def col2im_oracle(gcols, input_shape, stride):
+    """Reference scatter-add of (N, OH, OW, KH, KW, C) window gradients, one offset at a time."""
+    _, oh, ow, kh, kw, _ = gcols.shape
+    gx = np.zeros(input_shape, dtype=gcols.dtype)
+    for dy in range(kh):
+        ylim = dy + (oh - 1) * stride + 1
+        for dx in range(kw):
+            xlim = dx + (ow - 1) * stride + 1
+            gx[:, dy:ylim:stride, dx:xlim:stride, :] += gcols[:, :, :, dy, dx, :]
+    return gx
+
+
+def conv_oracle(x, w, b, stride, g):
+    """Reference im2col convolution: forward output and (grad_input, grad_weights, grad_bias)."""
+    kh, kw, cin, cout = w.shape
+    cols = im2col_oracle(x, kh, kw, stride)
+    flat = cols.reshape(-1, kh * kw * cin)
+    out = (flat @ w.reshape(-1, cout)).reshape(*cols.shape[:3], cout) + b
+    gflat = g.reshape(-1, cout)
+    gcols = (gflat @ w.reshape(-1, cout).T).reshape(cols.shape)
+    return out, (col2im_oracle(gcols, x.shape, stride), (flat.T @ gflat).reshape(w.shape), g.sum(axis=(0, 1, 2)))
+
+
+def maxpool_oracle(x, window, stride, g):
+    """Reference argmax pooling: forward output and input gradient.
+
+    argmax takes the first maximum in row-major window order; the output is
+    read back at that index and the gradient put there.
+    """
+    cols = im2col_oracle(x, window, window, stride)
+    n, oh, ow, _, _, c = cols.shape
+    wins = cols.reshape(n, oh, ow, window * window, c)
+    arg = wins.argmax(axis=3)[:, :, :, None, :]
+    out = np.take_along_axis(wins, arg, axis=3)[:, :, :, 0, :]
+    gwin = np.zeros(wins.shape, dtype=g.dtype)
+    np.put_along_axis(gwin, arg, g[:, :, :, None, :], axis=3)
+    return out, col2im_oracle(gwin.reshape(cols.shape), x.shape, stride)
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+_rng = np.random.default_rng(15)
+# id, float32 pooling input
+POOL_INPUTS = [
+    ("random", _rng.standard_normal((2, 11, 10, 3)).astype(np.float32)),
+    ("all-equal", np.full((2, 11, 10, 3), 0.5, dtype=np.float32)),
+    ("relu-zero-ties", ops.relu(_rng.standard_normal((2, 11, 10, 3)).astype(np.float32) - 0.5)),
+    ("positive-ties", (_rng.integers(1, 3, size=(2, 11, 10, 3)) / 4).astype(np.float32)),
+    ("odd-side-109", ops.relu(_rng.standard_normal((2, 109, 109, 2)).astype(np.float32))),
+]
+
+
+class TestKernelsMatchLoopOracles:
+    """The window-view kernels against the original loop kernels, bit for bit."""
+
+    @pytest.mark.parametrize("window, stride", [(2, 2), (2, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("name, x", POOL_INPUTS, ids=[name for name, _ in POOL_INPUTS])
+    def test_maxpool_forward_and_backward(self, name, x, window, stride):
+        out = ops.maxpool2d_forward(x, window, stride)
+        g = np.random.default_rng(16).standard_normal(out.shape).astype(np.float32)
+        want_out, want_gx = maxpool_oracle(x, window, stride, g)
+        assert_same_bits(out, want_out)
+        assert_same_bits(ops.maxpool2d_backward(g, (x, out), x.shape, window, stride), want_gx)
+
+    def test_odd_side_pools_to_floor(self):
+        x = np.zeros((1, 109, 109, 1), dtype=np.float32)
+        assert ops.maxpool2d_forward(x, 2, 2).shape == (1, 54, 54, 1)
+
+    def test_mixed_sign_zero_tie_keeps_first(self):
+        # windows [-0, 0, 0, 0] and [0, -0, -0, -0] in row-major order
+        x = np.array([[-0.0, 0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]], dtype=np.float32).reshape(1, 2, 4, 1)
+        out = ops.maxpool2d_forward(x, 2)
+        assert_same_bits(out, maxpool_oracle(x, 2, 2, np.ones((1, 1, 2, 1), np.float32))[0])
+        assert np.signbit(out).ravel().tolist() == [True, False]
+
+    @pytest.mark.parametrize("kernel", [(3, 3), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("cin", [1, 3])
+    def test_conv_forward_and_grads(self, kernel, stride, cin):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((2, 11, 10, cin)).astype(np.float32)
+        w = rng.standard_normal((*kernel, cin, 4)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
+        out = ops.conv2d_forward(x, w, b, stride)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        want_out, want_grads = conv_oracle(x, w, b, stride, g)
+        assert_same_bits(out, want_out)
+        for got, want in zip(ops.conv2d_backward(g, x, w, stride), want_grads):
+            assert_same_bits(got, want)
 
 
 class TestEltwiseLayers:
