@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from wellqc.errors import ShapeError
+from wellqc.errors import EmptyEvaluation, ShapeError
 from wellqc.nn import ops
 from wellqc.nn.arch import ArchitectureSpec
 
@@ -199,10 +199,13 @@ def predict_probs(model: Model, images, labels=None, batch_size: int = 64):
 
     This is the one batched inference loop. With ``labels`` it returns
     (probabilities, mean cross-entropy), the mean taken as the batch-size
-    weighted sum of each batch's fused log-softmax loss.
+    weighted sum of each batch's fused log-softmax loss; zero images then
+    have no mean and raise EmptyEvaluation.
     """
     frozen = Model(model.spec, model.params, INFER, model.layer_names)
     n = len(images)
+    if n == 0 and labels is not None:
+        raise EmptyEvaluation("cannot compute the mean cross-entropy of zero images")
     chunks, total_ce = [], 0.0
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)

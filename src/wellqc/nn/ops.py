@@ -13,10 +13,14 @@ side + 1 for stride 1, and (input - kernel) // stride + 1 in general.
 
 Convolution (im2col + one GEMM, Chellapilla, Puri & Simard 2006) and max
 pooling read their input through one zero-copy window view, ``_windows``, and
-both backward passes sum onto the input through one ``_scatter_add``. Pooling's
-forward is a running maximum, with no argmax; its tie rule lives in the
-backward pass, which routes each gradient to the first cell, in row-major
-window order, that equals the window's output.
+both backward passes sum onto the input through one ``_scatter_add``.
+Convolution's backward computes the window gradients channels-first,
+(KH, KW, C_in, N, OH, OW), and scatters them into a channels-first buffer
+seen through an NHWC view, so each add runs along a row of the image; the
+result is returned as one NHWC copy. Pooling's forward is a running maximum,
+with no argmax; its tie rule lives in the backward pass, which routes each
+gradient to the first cell, in row-major window order, that equals the
+window's output.
 """
 
 import numpy as np
@@ -84,8 +88,8 @@ def conv2d_forward(x, weights, bias, stride=1):
         raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
     oh, ow = conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride)
     out = _im2col(x, kh, kw, stride) @ weights.reshape(kh * kw * cin, cout)
-    out = out.reshape(x.shape[0], oh, ow, cout) + bias
-    return out.astype(x.dtype, copy=False)
+    out += bias
+    return out.reshape(x.shape[0], oh, ow, cout).astype(x.dtype, copy=False)
 
 
 def conv2d_backward(grad_out, cached_input, weights, stride=1):
@@ -93,16 +97,21 @@ def conv2d_backward(grad_out, cached_input, weights, stride=1):
     x, g = cached_input, grad_out
     weights = np.asarray(weights)
     kh, kw, cin, cout = weights.shape
-    oh, ow = conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride)
-    if g.shape != (x.shape[0], oh, ow, cout):
-        raise ShapeError(f"grad_out shape {g.shape} does not match forward output {(x.shape[0], oh, ow, cout)}")
+    n, h, w, _ = x.shape
+    oh, ow = conv_output_hw(h, w, kh, kw, stride)
+    if g.shape != (n, oh, ow, cout):
+        raise ShapeError(f"grad_out shape {g.shape} does not match forward output {(n, oh, ow, cout)}")
 
-    gb = g.sum(axis=(0, 1, 2))
     gflat = g.reshape(-1, cout)
+    # The bits of g.sum(axis=(0, 1, 2)): it adds row after row, as einsum does in one pass,
+    # except at C_out = 1, where it sums one contiguous run pairwise.
+    gb = gflat.sum(axis=0) if cout == 1 else np.einsum("rc->c", gflat)
     gw = _im2col(x, kh, kw, stride).T @ gflat
-    gcols = (gflat @ weights.reshape(kh * kw * cin, cout).T).reshape(x.shape[0], oh, ow, kh, kw, cin)
-    gx = _scatter_add(np.zeros(x.shape, gcols.dtype), kh, kw, stride, lambda dy, dx: gcols[:, :, :, dy, dx, :])
-    return gx, gw.reshape(weights.shape), gb
+    # Channels-first, so that every scatter-add runs along W instead of over C_in values.
+    gcols = (weights.reshape(kh * kw * cin, cout) @ gflat.T).reshape(kh, kw, cin, n, oh, ow)
+    gx = np.zeros((cin, n, h, w), gcols.dtype).transpose(1, 2, 3, 0)
+    _scatter_add(gx, kh, kw, stride, lambda dy, dx: gcols[dy, dx].transpose(1, 2, 3, 0))
+    return np.ascontiguousarray(gx), gw.reshape(weights.shape), gb
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,10 @@ def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
 def adam_step(params, grads, state: AdamState, lr: float):
     """One Adam update, in place; returns (params, state).
 
+    Gradients are in their parameter's dtype, as model_backward gives them,
+    and are not modified. Every intermediate goes to one of two scratch
+    buffers per tensor, in the operation order of the formula above.
+
     Raises NonFiniteGradient if any gradient element is NaN/Inf, naming the
     offending tensors, which is how a diverged run surfaces.
     """
@@ -84,13 +88,15 @@ def adam_step(params, grads, state: AdamState, lr: float):
     bc2 = 1.0 - state.beta2 ** state.t
     for key, g in grads.items():
         m, v = state.m[key], state.v[key]
+        s1, s2 = np.empty_like(m), np.empty_like(v)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(1.0 - state.beta1, g, out=s1)
         v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        params[key] -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(params[key].dtype)
+        v += np.multiply(1.0 - state.beta2, np.square(g, out=s1), out=s1)
+        m_hat = np.divide(m, bc1, out=s1)
+        v_hat = np.divide(v, bc2, out=s2)
+        denom = np.add(np.sqrt(v_hat, out=s2), state.eps, out=s2)
+        params[key] -= np.divide(np.multiply(lr, m_hat, out=s1), denom, out=s1)
     return params, state
 
 

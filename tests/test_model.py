@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from wellqc.errors import ShapeError
+from wellqc.errors import EmptyEvaluation, ShapeError
 from wellqc.nn.arch import ArchitectureSpec, LayerSpec, default_architecture
 from wellqc.nn.model import (
     INFER,
@@ -203,3 +203,7 @@ class TestPredictProbs:
     def test_zero_images_give_an_empty_row_stack(self, toy_model):
         probs = predict_probs(toy_model, np.empty((0, 12, 12, 1), dtype=np.float32))
         assert probs.shape == (0, 2) and probs.dtype == toy_model.dtype
+
+    def test_zero_images_with_labels_have_no_mean_loss(self, toy_model):
+        with pytest.raises(EmptyEvaluation):
+            predict_probs(toy_model, np.empty((0, 12, 12, 1), dtype=np.float32), np.empty(0, dtype=np.int64))

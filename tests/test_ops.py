@@ -295,10 +295,22 @@ class TestKernelsMatchLoopOracles:
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("cin", [1, 3])
     def test_conv_forward_and_grads(self, kernel, stride, cin):
+        for cout in (4, 1):
+            self.check_conv((2, 11, 10, cin), kernel, stride, cout)
+
+    @pytest.mark.parametrize("cin", [1, 3])
+    def test_conv_tall_input_pins_bias_summation_order(self, cin):
+        # 2*68*68 = 9,248 output rows, more than numpy's 8,192-element iterator buffer
+        for cout in (4, 1):
+            self.check_conv((2, 70, 70, cin), (3, 3), 1, cout)
+
+    @staticmethod
+    def check_conv(x_shape, kernel, stride, cout):
+        """conv2d_forward and conv2d_backward against conv_oracle, bit for bit."""
         rng = np.random.default_rng(17)
-        x = rng.standard_normal((2, 11, 10, cin)).astype(np.float32)
-        w = rng.standard_normal((*kernel, cin, 4)).astype(np.float32)
-        b = rng.standard_normal(4).astype(np.float32)
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        w = rng.standard_normal((*kernel, x_shape[3], cout)).astype(np.float32)
+        b = rng.standard_normal(cout).astype(np.float32)
         out = ops.conv2d_forward(x, w, b, stride)
         g = rng.standard_normal(out.shape).astype(np.float32)
         want_out, want_grads = conv_oracle(x, w, b, stride, g)

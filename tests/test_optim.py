@@ -33,6 +33,22 @@ def scalar_adam_reference(theta, grads, lr, b1=ADAM_BETA1, b2=ADAM_BETA2, eps=AD
     return theta
 
 
+def allocating_adam_oracle(params, grads, state, lr):
+    """The Adam update with one fresh array per intermediate, in adam_step's operation order."""
+    state.t += 1
+    bc1 = 1.0 - state.beta1 ** state.t
+    bc2 = 1.0 - state.beta2 ** state.t
+    for key, g in grads.items():
+        m, v = state.m[key], state.v[key]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * np.square(g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        params[key] -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(params[key].dtype)
+
+
 class TestAdamStep:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = {"w.W": np.array([1.0, -2.0, 3.0])}
@@ -99,6 +115,26 @@ class TestAdamStep:
         state = init_adam_state(params)
         with pytest.raises(NonFiniteGradient):
             adam_step(params, {"a.W": np.array([np.inf])}, state, lr=0.01)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_update_matches_allocating_oracle_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(3)
+        shapes = {"conv1.W": (3, 3, 1, 8), "conv1.b": (8,), "dense1.W": (400, 48), "dense1.b": (48,)}
+        params = {k: rng.standard_normal(shape).astype(dtype) for k, shape in shapes.items()}
+        want = {k: p.copy() for k, p in params.items()}
+        state, want_state = init_adam_state(params), init_adam_state(want)
+        for _ in range(5):
+            grads = {k: rng.standard_normal(shape).astype(dtype) for k, shape in shapes.items()}
+            before = {k: g.copy() for k, g in grads.items()}
+            adam_step(params, grads, state, lr=0.003)
+            allocating_adam_oracle(want, grads, want_state, lr=0.003)
+            for key in shapes:
+                assert grads[key].tobytes() == before[key].tobytes()
+        assert state.t == want_state.t == 5
+        for key in shapes:
+            for got, expected in ((params, want), (state.m, want_state.m), (state.v, want_state.v)):
+                assert got[key].dtype == expected[key].dtype == dtype
+                assert got[key].tobytes() == expected[key].tobytes()
 
     def test_second_moment_stays_non_negative(self):
         rng = np.random.default_rng(2)
