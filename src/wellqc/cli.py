@@ -88,6 +88,13 @@ def _prepare_out_dir(args, config=None) -> Path:
     return out_dir
 
 
+def _check_at_least(args, name: str, least: int) -> None:
+    """Reject ``--name`` below ``least`` before anything is written."""
+    value = getattr(args, name)
+    if value < least:
+        raise ValueError(f"--{name} must be >= {least}, got {value}")
+
+
 def _load_split(args, config):
     manifest = DatasetManifest.load(args.data)
     train_m, val_m = split_train_val(manifest, config.split_fraction, config.seed)
@@ -143,6 +150,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
+    _check_at_least(args, "jobs", 1)
     config = _resolve_config(args)
     out_dir = _prepare_out_dir(args, config)
     grid = configio.load_file(GridSpec, args.grid)
@@ -160,6 +168,8 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    _check_at_least(args, "jobs", 1)
+    _check_at_least(args, "k", 2)
     config = _resolve_config(args)
     out_dir = _prepare_out_dir(args, config)
     manifest = DatasetManifest.load(args.data)

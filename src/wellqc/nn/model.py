@@ -62,9 +62,6 @@ class Model:
         """
         return [k for k in self.params if k.startswith("dense") and k.endswith(".W")]
 
-    def param_count(self) -> int:
-        return sum(int(v.size) for v in self.params.values())
-
     def astype(self, dtype) -> "Model":
         return Model(
             spec=self.spec,

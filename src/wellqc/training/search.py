@@ -5,12 +5,22 @@ task i of kind K uses SeedSequence(master_seed, spawn_key=(K, i)) collapsed
 to one 32-bit integer (kind 0 = grid cell, kind 1 = CV fold). Tasks share
 nothing mutable, so running them serially or across N workers produces
 identical results.
+
+N > 1 workers run on one thread pool and share OpenBLAS's process-global
+thread count. It is set once around the pool to their share of the CPUs,
+never above its current value, logged, and restored afterwards, also on
+error. Results do not depend on it. One worker leaves it untouched.
 """
 
+import ctypes
+import functools
 import itertools
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +35,56 @@ log = logging.getLogger(__name__)
 
 _KIND_GRID_CELL = 0
 _KIND_CV_FOLD = 1
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    try:
+        lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so"))))
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run the body with OpenBLAS on ``n`` threads, at least 1 and at most its current count.
+
+    The count is process-global: enter this once around a pool, not per worker.
+    """
+    control = _openblas()
+    if control is None:
+        log.debug("numpy's OpenBLAS thread control not found; the thread count is left as is")
+        yield
+        return
+    get, set_ = control
+    old = get()
+    set_(max(1, min(n, old)))
+    log.debug("OpenBLAS threads %d -> %d", old, get())
+    try:
+        yield
+    finally:
+        set_(old)
+
+
+def _cpu_count() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _run_tasks(fn, tasks, jobs: int) -> list:
+    """``[fn(*task) for task in tasks]``, on up to ``jobs`` threads that share the CPUs' BLAS threads."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    with blas_threads(max(1, _cpu_count() // workers)), ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda task: fn(*task), tasks))
 
 
 def derive_seed(master_seed: int, kind: int, index: int) -> int:
@@ -94,15 +154,8 @@ def grid_search(grid: GridSpec, base_config: RunConfig, train_set, val_set, jobs
     aborting the sweep.
     """
     cells = grid.cells(base_config.hyperparams)
-    if jobs <= 1:
-        results = [_run_cell(i, values, base_config, train_set, val_set) for i, values in enumerate(cells)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_cell, i, values, base_config, train_set, val_set)
-                for i, values in enumerate(cells)
-            ]
-            results = [f.result() for f in futures]
+    tasks = [(i, values, base_config, train_set, val_set) for i, values in enumerate(cells)]
+    results = _run_tasks(_run_cell, tasks, jobs)
 
     def rank_key(r: CellResult):
         if r.failed:
@@ -174,12 +227,7 @@ def _run_fold(fold: int, base_config: RunConfig, train_manifest, val_manifest) -
 def cross_validate(config: RunConfig, manifest, k: int, jobs: int = 1) -> CvReport:
     """Train k independent models on stratified folds and aggregate metrics."""
     pairs = kfold_split(manifest, k, config.seed)
-    if jobs <= 1:
-        folds = [_run_fold(i, config, tr, va) for i, (tr, va) in enumerate(pairs)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_fold, i, config, tr, va) for i, (tr, va) in enumerate(pairs)]
-            folds = [f.result() for f in futures]
+    folds = _run_tasks(_run_fold, [(i, config, tr, va) for i, (tr, va) in enumerate(pairs)], jobs)
 
     mean: dict[str, float] = {}
     std: dict[str, float] = {}

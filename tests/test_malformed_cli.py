@@ -20,6 +20,7 @@ from tests.test_checkpoint import rewrite_header
 
 TRAIN = ["train", "--data", "{corpus}", "--out-dir", "{tmp}/out"]
 GRID_SEARCH = ["grid-search", "--data", "{corpus}", "--grid", "{tmp}/input.json", "--out-dir", "{tmp}/out"]
+CV = ["cv", "--data", "{corpus}", "--out-dir", "{tmp}/out"]
 TILE = ["tile", "--frame", "{frame}", "--grid", "{tmp}/input.json", "--out-dir", "{tmp}/out"]
 GRAD_CHECK = ["grad-check", "--arch", "{tmp}/input.json", "--out-dir", "{tmp}/out"]
 CONFIG = [*TRAIN, "--config", "{tmp}/input.json"]
@@ -78,6 +79,17 @@ CHECKPOINT_CASES = [
 ]
 
 
+# id, argv, what the error line names
+COUNT_CASES = [
+    ("grid-search-jobs-0", [*GRID_SEARCH, "--jobs", "0"], "--jobs must be >= 1, got 0"),
+    ("grid-search-jobs-minus-2", [*GRID_SEARCH, "--jobs", "-2"], "--jobs must be >= 1, got -2"),
+    ("cv-jobs-0", [*CV, "--k", "2", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+    ("cv-jobs-minus-2", [*CV, "--k", "2", "--jobs", "-2"], "--jobs must be >= 1, got -2"),
+    ("cv-k-0", [*CV, "--k", "0"], "--k must be >= 2, got 0"),
+    ("cv-k-1", [*CV, "--k", "1", "--jobs", "2"], "--k must be >= 2, got 1"),
+]
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A small corpus, a one-well frame and a trained logistic checkpoint."""
@@ -112,6 +124,18 @@ def test_malformed_config_exits_1_with_one_line(workspace, tmp_path, capsys, arg
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: ConfigError: "), lines
     assert names in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, names", [case[1:] for case in COUNT_CASES], ids=[case[0] for case in COUNT_CASES]
+)
+def test_count_below_its_minimum_exits_1_and_writes_nothing(workspace, tmp_path, capsys, argv, names):
+    (tmp_path / "input.json").write_text(json.dumps({"learning_rate": [0.01]}))
+    code, lines = run_cli([*argv, "--set", "hyperparams.epochs=1"], capsys, tmp=tmp_path, **workspace)
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: ValueError: "), lines
+    assert names in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
