@@ -1,10 +1,11 @@
 """Command-line entry point for the whole pipeline.
 
 Subcommands: gen, tile, train, grid-search, cv, eval, predict, grad-check.
-Config precedence is built-in defaults < --config file < --set overrides; the
-fully-resolved config is logged and written into the out-dir before anything
-runs. Exit codes: 0 success, 1 contract/validation failure, 2 I/O or format
-error. Every failure prints one line, "error: <type>: <message>", to stderr.
+Config precedence is built-in defaults < --config file < --set overrides, and
+no environment variable takes part; the fully-resolved config is logged and
+written into the out-dir before anything runs. Exit codes: 0 success, 1
+contract/validation failure, 2 I/O or format error. Every failure prints one
+line, "error: <type>: <message>", to stderr.
 
 Every JSON input (the run config with its --set overrides, a tile grid, a
 grid-search spec, a --arch file) goes through one strict loader,
@@ -20,7 +21,6 @@ manifest defects are format errors and exit 2.
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -29,7 +29,7 @@ import numpy as np
 
 from wellqc import __version__, configio
 from wellqc.errors import FormatError, GradCheckFailure, WellQcError
-from wellqc.data.manifest import DatasetManifest, load_examples
+from wellqc.data.manifest import MANIFEST_VERSION, DatasetManifest, load_examples
 from wellqc.data.pgm import read_pgm, write_pgm
 from wellqc.data.splits import split_train_val
 from wellqc.data.synth import DEFECT_KINDS, generate_synthetic
@@ -45,15 +45,13 @@ from wellqc.training.search import GridSpec, cross_validate, grid_search, grid_t
 
 log = logging.getLogger("wellqc")
 
-CONFIG_ENV_VAR = "WELLQC_CONFIG"
-
 EXIT_OK = 0
 EXIT_CONTRACT = 1
 EXIT_IO = 2
 
 
 def _add_config_args(p):
-    p.add_argument("--config", help=f"run config JSON (default: ${CONFIG_ENV_VAR} if set)")
+    p.add_argument("--config", help="run config JSON (default: the built-in config)")
     p.add_argument(
         "--set",
         dest="overrides",
@@ -65,11 +63,10 @@ def _add_config_args(p):
 
 
 def _resolve_config(args):
-    config_path = args.config or os.environ.get(CONFIG_ENV_VAR) or None
     overrides = list(args.overrides or [])
     if getattr(args, "seed", None) is not None:
         overrides.append(f"seed={args.seed}")
-    return resolve_run_config(config_path, overrides)
+    return resolve_run_config(args.config, overrides)
 
 
 def _write_json(path, data, sort_keys=False) -> None:
@@ -117,11 +114,11 @@ def cmd_gen(args) -> int:
 
 def cmd_tile(args) -> int:
     pixels, _ = read_pgm(args.frame)
-    frame = ScanFrame(pixels=pixels, frame_id=Path(args.frame).stem)
+    frame = ScanFrame(pixels=pixels)
     grid = configio.load_file(TileGrid, args.grid)
     crops = tile_scan(frame, grid)
     out_dir = _prepare_out_dir(args)
-    lines = [f"#wellqc-manifest v1 num_classes=2"]
+    lines = [f"#wellqc-manifest v{MANIFEST_VERSION} num_classes=2"]
     for crop in crops:
         name = f"r{crop.row:03d}c{crop.col:03d}.pgm"
         write_pgm(crop.pixels, out_dir / name, maxval=255)

@@ -11,7 +11,7 @@ source file rather than duplicating pixels on disk. A (path, augmentation)
 pair therefore identifies an example and may not repeat.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,6 @@ class ManifestEntry:
 class DatasetManifest:
     entries: list[ManifestEntry]
     num_classes: int = 2
-    version: int = MANIFEST_VERSION
     root: Path | None = None  # directory paths are relative to; not serialized
 
     def __post_init__(self):
@@ -72,7 +71,7 @@ class DatasetManifest:
 
     def save(self, path) -> None:
         path = Path(path)
-        lines = [f"#wellqc-manifest v{self.version} num_classes={self.num_classes}"]
+        lines = [f"#wellqc-manifest v{MANIFEST_VERSION} num_classes={self.num_classes}"]
         for e in self.entries:
             lines.append(f"{e.path}\t{e.label}\t{e.origin}\t{e.aug}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -117,7 +116,7 @@ class DatasetManifest:
                         f"{path}: entry {p} has label {label!r}, not an integer", offset=offset
                     ) from None
                 entries.append(ManifestEntry(path=p, label=label, origin=origin, aug=aug))
-        return cls(entries=entries, num_classes=num_classes, version=version, root=path.parent)
+        return cls(entries=entries, num_classes=num_classes, root=path.parent)
 
 
 def expand_dataset(manifest: DatasetManifest, target_per_class: int = 500) -> DatasetManifest:
@@ -153,12 +152,7 @@ def expand_dataset(manifest: DatasetManifest, target_per_class: int = 500) -> Da
                 f"class {label}: {len(originals)} originals support at most "
                 f"{len(originals) * (1 + len(AUG_OPS))} examples, target is {target_per_class}"
             )
-    return DatasetManifest(
-        entries=new_entries,
-        num_classes=manifest.num_classes,
-        version=manifest.version,
-        root=manifest.root,
-    )
+    return DatasetManifest(entries=new_entries, num_classes=manifest.num_classes, root=manifest.root)
 
 
 @dataclass
@@ -171,6 +165,10 @@ class Dataset:
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
+
+    def subset(self, rows) -> "Dataset":
+        """A copy of the examples at ``rows``, in that order."""
+        return Dataset(images=self.images[rows], labels=self.labels[rows], ids=[self.ids[i] for i in rows])
 
 
 def load_examples(manifest: DatasetManifest) -> Dataset:

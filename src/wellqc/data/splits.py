@@ -19,12 +19,7 @@ def _entries_by_class(manifest: DatasetManifest) -> dict[int, list]:
 
 
 def _make(manifest: DatasetManifest, entries) -> DatasetManifest:
-    return DatasetManifest(
-        entries=list(entries),
-        num_classes=manifest.num_classes,
-        version=manifest.version,
-        root=manifest.root,
-    )
+    return DatasetManifest(entries=list(entries), num_classes=manifest.num_classes, root=manifest.root)
 
 
 def split_train_val(manifest: DatasetManifest, fraction: float, seed: int):

@@ -13,8 +13,6 @@ class ScanFrame:
     """One full-resolution grayscale scanner frame, pixels in [0, 1]."""
 
     pixels: np.ndarray
-    lane_id: str = ""
-    frame_id: str = ""
 
     def __post_init__(self):
         self.pixels = np.asarray(self.pixels, dtype=np.float32)
@@ -66,13 +64,11 @@ def tile_scan(frame: ScanFrame, grid: TileGrid) -> list[WellImage]:
                     f"crop ({r}, {c}) spans rows [{y0}, {y0 + CROP_SIZE}) x "
                     f"cols [{x0}, {x0 + CROP_SIZE}) outside the {w}x{h} frame"
                 )
-    prefix = "/".join(p for p in (frame.lane_id, frame.frame_id) if p)
     crops = []
     for r in range(grid.rows):
         for c in range(grid.cols):
             y0 = grid.origin_y + r * grid.pitch_y
             x0 = grid.origin_x + c * grid.pitch_x
             pixels = frame.pixels[y0 : y0 + CROP_SIZE, x0 : x0 + CROP_SIZE]
-            source = f"{prefix}/r{r:03d}c{c:03d}" if prefix else f"r{r:03d}c{c:03d}"
-            crops.append(WellImage(pixels=np.ascontiguousarray(pixels), source_id=source, row=r, col=c))
+            crops.append(WellImage(pixels=np.ascontiguousarray(pixels), row=r, col=c))
     return crops

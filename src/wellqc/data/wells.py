@@ -17,7 +17,6 @@ class WellImage:
     """A single 111x111 grayscale well crop with pixels in [0, 1]."""
 
     pixels: np.ndarray
-    source_id: str = ""
     row: int | None = None
     col: int | None = None
 

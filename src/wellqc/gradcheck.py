@@ -72,7 +72,6 @@ def grad_check(
     tolerance: float = 1e-6,
     max_coords_per_param: int = 24,
     seed: int = 0,
-    raise_on_failure: bool = True,
 ) -> GradCheckReport:
     """Compare backprop with central differences; raises GradCheckFailure.
 
@@ -111,7 +110,7 @@ def grad_check(
         coords_checked[key] = len(coords)
 
     report = GradCheckReport(per_param=per_param, coords_checked=coords_checked, h=h, tolerance=tolerance)
-    if raise_on_failure and not report.passed:
+    if not report.passed:
         raise GradCheckFailure(
             f"gradient mismatch above {tolerance:g} in: {', '.join(report.failing_params())}",
             report=report,

@@ -4,37 +4,3 @@ Arrays are C-contiguous numpy tensors; a stored shape plus the row-major flat
 view is the wire representation used by checkpoints. Training and inference
 run in float32, verification harnesses rerun the same kernels in float64.
 """
-
-from wellqc.nn.arch import (
-    ArchitectureSpec,
-    LayerSpec,
-    default_architecture,
-    infer_shapes,
-    logistic_architecture,
-)
-from wellqc.nn.model import (
-    INFER,
-    TRAIN,
-    Model,
-    init_model,
-    model_backward,
-    model_forward,
-    model_loss,
-    predict_probs,
-)
-
-__all__ = [
-    "ArchitectureSpec",
-    "LayerSpec",
-    "default_architecture",
-    "logistic_architecture",
-    "infer_shapes",
-    "Model",
-    "init_model",
-    "model_forward",
-    "model_backward",
-    "model_loss",
-    "predict_probs",
-    "TRAIN",
-    "INFER",
-]

@@ -20,7 +20,8 @@ class LayerSpec:
     Conv2D: out_channels, kernel_size, stride (default 1; square kernel)
     MaxPool2D: window, stride (default: stride = window)
     Dense: units
-    Dropout: rate in [0, 1)
+    Dropout: rate in [0, 1); ``train`` overwrites it with
+        ``hyperparams.dropout_rate``, so this value never governs a run
     ReLU / Flatten / Softmax: no parameters
     """
 

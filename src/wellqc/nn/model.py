@@ -8,7 +8,7 @@ by the optimizer.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,11 @@ class Model:
     spec: ArchitectureSpec
     params: dict[str, np.ndarray]
     mode: str = INFER
-    layer_names: list[str] = field(default_factory=list)
+
+    @property
+    def layer_names(self) -> list[str]:
+        """Per-layer names, each kind counted from 1 in layer order (conv1, relu1, pool1, conv2, ...)."""
+        return _layer_names(self.spec)
 
     @property
     def dtype(self):
@@ -67,7 +71,6 @@ class Model:
             spec=self.spec,
             params={k: v.astype(dtype) for k, v in self.params.items()},
             mode=self.mode,
-            layer_names=list(self.layer_names),
         )
 
 
@@ -98,7 +101,7 @@ def init_model(spec: ArchitectureSpec, rng, dtype=np.float32, mode: str = TRAIN)
             params[key] = ops.he_uniform(shape, math.prod(shape[:-1]), rng, dtype)
         else:
             params[key] = np.zeros(shape, dtype=dtype)
-    return Model(spec=spec, params=params, mode=mode, layer_names=_layer_names(spec))
+    return Model(spec=spec, params=params, mode=mode)
 
 
 def model_forward(model: Model, batch, rng=None):
@@ -160,9 +163,10 @@ def model_backward(model: Model, cache, labels) -> dict[str, np.ndarray]:
     probs, _ = cache[-1]
     grads: dict[str, np.ndarray] = {}
     g = ops.sparse_ce_grad_logits(probs, labels)
+    names = model.layer_names
     for idx in range(len(model.spec.layers) - 2, -1, -1):
         layer = model.spec.layers[idx]
-        name = model.layer_names[idx]
+        name = names[idx]
         kind = layer.kind
         if kind == "Conv2D":
             (x,) = cache[idx]
@@ -199,7 +203,7 @@ def predict_probs(model: Model, images, labels=None, batch_size: int = 64):
     weighted sum of each batch's fused log-softmax loss; zero images then
     have no mean and raise EmptyEvaluation.
     """
-    frozen = Model(model.spec, model.params, INFER, model.layer_names)
+    frozen = Model(model.spec, model.params, INFER)
     n = len(images)
     if n == 0 and labels is not None:
         raise EmptyEvaluation("cannot compute the mean cross-entropy of zero images")

@@ -100,17 +100,14 @@ def adam_step(params, grads, state: AdamState, lr: float):
     return params, state
 
 
-def apply_l2(grads, params, l2_lambda: float, keys=None):
-    """Add 2*lambda*W to the regularized weight gradients; biases untouched.
+def apply_l2(grads, params, l2_lambda: float, keys):
+    """Add 2*lambda*W to the gradients of the weight tensors named in ``keys``.
 
-    ``keys`` selects which weight tensors the penalty covers; None means every
-    ".W" entry. The training loop covers dense-layer weights only (see
+    The training loop passes the dense-layer weights (see
     Model.regularized_keys), which is where nearly all of the parameters live;
     conv filters and biases are never regularized. Non-mutating: returns a new
     gradient dict.
     """
-    if keys is None:
-        keys = [k for k in grads if k.endswith(".W")]
     if l2_lambda == 0.0:
         return dict(grads)
     covered = set(keys)
@@ -125,12 +122,10 @@ def apply_l2(grads, params, l2_lambda: float, keys=None):
     return out
 
 
-def l2_penalty(params, l2_lambda: float, keys=None) -> float:
-    """The regularization term of the optimized loss: lambda * sum(W^2)."""
+def l2_penalty(params, l2_lambda: float, keys) -> float:
+    """The regularization term of the optimized loss: lambda * sum(W^2) over the tensors named in ``keys``."""
     if l2_lambda == 0.0:
         return 0.0
-    if keys is None:
-        keys = [k for k in params if k.endswith(".W")]
     total = 0.0
     for key in keys:
         w = params[key]

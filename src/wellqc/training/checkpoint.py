@@ -25,7 +25,7 @@ import numpy as np
 from wellqc import configio
 from wellqc.errors import FormatError, WellQcError
 from wellqc.nn.arch import ArchitectureSpec
-from wellqc.nn.model import INFER, Model, _layer_names, param_shapes
+from wellqc.nn.model import INFER, Model, param_shapes
 from wellqc.optim import Hyperparams
 
 CHECKPOINT_VERSION = 1
@@ -70,19 +70,13 @@ class Checkpoint:
     hyperparams: Hyperparams
     history: list = field(default_factory=list)
     best_epoch: int = 0
-    version: int = CHECKPOINT_VERSION
 
     def to_model(self, mode: str = INFER) -> Model:
-        return Model(
-            spec=self.spec,
-            params={k: v.copy() for k, v in self.params.items()},
-            mode=mode,
-            layer_names=_layer_names(self.spec),
-        )
+        return Model(spec=self.spec, params={k: v.copy() for k, v in self.params.items()}, mode=mode)
 
     def save(self, path) -> None:
         header = _Header(
-            format_version=self.version,
+            format_version=CHECKPOINT_VERSION,
             architecture=self.spec,
             hyperparams=self.hyperparams,
             params=tuple(_ParamEntry(name, value.shape) for name, value in self.params.items()),
@@ -91,7 +85,7 @@ class Checkpoint:
         )
         header_bytes = json.dumps(configio.dump(header), sort_keys=True, separators=(",", ":")).encode("utf-8")
         with open(path, "wb") as fh:
-            fh.write(f"{_MAGIC} v{self.version} {len(header_bytes)}\n".encode("ascii"))
+            fh.write(f"{_MAGIC} v{CHECKPOINT_VERSION} {len(header_bytes)}\n".encode("ascii"))
             fh.write(header_bytes)
             for name in self.params:
                 fh.write(np.ascontiguousarray(self.params[name], dtype="<f4").tobytes())
@@ -120,6 +114,8 @@ class Checkpoint:
             expected = param_shapes(header.architecture)
         except (ValueError, WellQcError) as exc:
             raise FormatError(f"{path}: bad header: {exc}", offset=header_start) from None
+        if header.format_version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: header format_version {header.format_version} is not v{CHECKPOINT_VERSION}", offset=header_start)
         if sorted((p.name, p.shape) for p in header.params) != sorted(expected.items()):
             listed = ", ".join(f"{name}{list(shape)}" for name, shape in expected.items())
             raise FormatError(f"{path}: header params are not the architecture's {listed}", offset=header_start)
@@ -145,5 +141,4 @@ class Checkpoint:
             hyperparams=header.hyperparams,
             history=list(header.history),
             best_epoch=header.best_epoch,
-            version=header.format_version,
         )

@@ -83,7 +83,6 @@ def train(config: RunConfig, train_set, val_set):
         ce_sum = 0.0
         obj_sum = 0.0
         correct = 0
-        model.mode = TRAIN
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for batch_index, (start, stop) in enumerate(batch_slices(n, hp.batch_size)):
                 idx = order[start:stop]

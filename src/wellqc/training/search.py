@@ -204,11 +204,10 @@ class CvReport:
     std: dict[str, float]
 
 
-def _run_fold(fold: int, base_config: RunConfig, train_manifest, val_manifest) -> FoldResult:
+def _run_fold(fold: int, base_config: RunConfig, corpus, train_rows, val_rows) -> FoldResult:
     seed = derive_seed(base_config.seed, _KIND_CV_FOLD, fold)
     config = replace(base_config, seed=seed)
-    train_set = load_examples(train_manifest)
-    val_set = load_examples(val_manifest)
+    train_set, val_set = corpus.subset(train_rows), corpus.subset(val_rows)
     checkpoint, history = train(config, train_set, val_set)
     report = evaluate_checkpoint(checkpoint, val_set)
     best = history[checkpoint.best_epoch - 1]
@@ -225,9 +224,19 @@ def _run_fold(fold: int, base_config: RunConfig, train_manifest, val_manifest) -
 
 
 def cross_validate(config: RunConfig, manifest, k: int, jobs: int = 1) -> CvReport:
-    """Train k independent models on stratified folds and aggregate metrics."""
+    """Train k independent models on stratified folds and aggregate metrics.
+
+    The corpus is decoded once; each fold copies out its own rows when it
+    starts, so at most ``jobs`` folds' copies are held at a time.
+    """
     pairs = kfold_split(manifest, k, config.seed)
-    folds = _run_tasks(_run_fold, [(i, config, tr, va) for i, (tr, va) in enumerate(pairs)], jobs)
+    corpus = load_examples(manifest)
+    row = {e: i for i, e in enumerate(manifest.entries)}
+    tasks = [
+        (i, config, corpus, [row[e] for e in tr.entries], [row[e] for e in va.entries])
+        for i, (tr, va) in enumerate(pairs)
+    ]
+    folds = _run_tasks(_run_fold, tasks, jobs)
 
     mean: dict[str, float] = {}
     std: dict[str, float] = {}

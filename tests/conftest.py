@@ -1,15 +1,10 @@
 """Shared fixtures: generated corpora reused across test modules."""
 
-import numpy as np
 import pytest
 
 from wellqc.data.manifest import load_examples
 from wellqc.data.splits import split_train_val
 from wellqc.data.synth import generate_synthetic
-
-# the committed corpus: regenerated bit-identically from this seed
-CORPUS_SEED = 20260809
-RUN_SEED = 20260809
 
 
 @pytest.fixture(scope="session")
@@ -24,9 +19,3 @@ def small_split(small_corpus):
     train_m, val_m = split_train_val(small_corpus, 0.2, seed=101)
     return load_examples(train_m), load_examples(val_m)
 
-
-@pytest.fixture(scope="session")
-def committed_corpus(tmp_path_factory):
-    """The full 500+500 corpus the end-to-end criteria run against."""
-    root = tmp_path_factory.mktemp("committed_corpus")
-    return generate_synthetic(seed=CORPUS_SEED, n_ok=500, n_ng=500, out_dir=root)

@@ -76,6 +76,7 @@ CHECKPOINT_CASES = [
      "history[0].train_loss: missing required key"),
     ("negative-shape", lambda h: h["params"][0].update(shape=[-12321, 2]), "header params are not"),
     ("duplicate-param-name", lambda h: h["params"].append(h["params"][0]), "header params are not"),
+    ("format-version-differs-from-magic-line", lambda h: h.update(format_version=7), "header format_version 7 is not v1"),
 ]
 
 
@@ -180,3 +181,10 @@ def test_defective_manifest_exits_2_with_its_byte_offset(workspace, tmp_path, ca
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: FormatError: "), lines
     assert names in lines[0]
+
+
+def test_wellqc_config_environment_variable_is_ignored(workspace, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("WELLQC_CONFIG", str(tmp_path / "missing.json"))
+    argv = [*TRAIN, "--model", "logistic", "--set", "hyperparams.epochs=1"]
+    code, lines = run_cli(argv, capsys, tmp=tmp_path, **workspace)
+    assert code == 0, lines

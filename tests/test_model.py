@@ -9,6 +9,7 @@ from wellqc.nn.arch import ArchitectureSpec, LayerSpec, default_architecture
 from wellqc.nn.model import (
     INFER,
     TRAIN,
+    Model,
     init_model,
     model_backward,
     model_forward,
@@ -103,6 +104,12 @@ class TestForward:
             batch = rng.random((2, *spec.input_shape), dtype=np.float32)
             probs, _ = model_forward(model, batch)
             assert probs.shape == (2, 2)
+
+
+    def test_model_from_spec_and_params_alone_matches_init_model(self, toy_model):
+        images = np.random.default_rng(13).random((3, 12, 12, 1), dtype=np.float32)
+        rebuilt = Model(toy_model.spec, toy_model.params, INFER)
+        npt.assert_array_equal(predict_probs(rebuilt, images), predict_probs(toy_model, images))
 
 
 class TestTrainMode:

@@ -149,50 +149,52 @@ class TestApplyL2:
     def test_lambda_zero_is_identity(self):
         grads = {"w.W": np.array([1.0]), "w.b": np.array([2.0])}
         params = {"w.W": np.array([5.0]), "w.b": np.array([5.0])}
-        out = apply_l2(grads, params, 0.0)
+        out = apply_l2(grads, params, 0.0, ["w.W"])
         npt.assert_array_equal(out["w.W"], [1.0])
         npt.assert_array_equal(out["w.b"], [2.0])
 
     def test_zero_params_leave_grads_unchanged(self):
         grads = {"w.W": np.array([1.0, -1.0])}
         params = {"w.W": np.zeros(2)}
-        out = apply_l2(grads, params, 0.3)
+        out = apply_l2(grads, params, 0.3, ["w.W"])
         npt.assert_array_equal(out["w.W"], grads["w.W"])
 
     def test_stated_arithmetic_example(self):
         # lambda=0.3, theta=2, raw grad 1 -> 1 + 2*0.3*2 = 2.2
-        out = apply_l2({"w.W": np.array([1.0])}, {"w.W": np.array([2.0])}, 0.3)
+        out = apply_l2({"w.W": np.array([1.0])}, {"w.W": np.array([2.0])}, 0.3, ["w.W"])
         assert out["w.W"][0] == pytest.approx(2.2, abs=1e-12)
 
     def test_bias_gradients_never_modified(self):
         grads = {"w.W": np.array([1.0]), "w.b": np.array([1.0])}
         params = {"w.W": np.array([3.0]), "w.b": np.array([3.0])}
-        out = apply_l2(grads, params, 0.5)
+        out = apply_l2(grads, params, 0.5, ["w.W"])
         assert out["w.b"][0] == 1.0
         assert out["w.W"][0] == pytest.approx(4.0)
+        with pytest.raises(ConfigError, match="w.b"):
+            apply_l2(grads, params, 0.5, ["w.W", "w.b"])
 
     def test_does_not_mutate_input_grads(self):
         grads = {"w.W": np.array([1.0])}
         params = {"w.W": np.array([2.0])}
-        apply_l2(grads, params, 0.3)
+        apply_l2(grads, params, 0.3, ["w.W"])
         assert grads["w.W"][0] == 1.0
 
     def test_penalty_term_value(self):
         params = {"a.W": np.array([1.0, 2.0]), "a.b": np.array([10.0])}
-        assert l2_penalty(params, 0.3) == pytest.approx(0.3 * 5.0)
-        assert l2_penalty(params, 0.0) == 0.0
+        assert l2_penalty(params, 0.3, ["a.W"]) == pytest.approx(0.3 * 5.0)
+        assert l2_penalty(params, 0.0, ["a.W"]) == 0.0
 
     def test_grad_is_derivative_of_penalty(self):
         rng = np.random.default_rng(3)
         params = {"w.W": rng.standard_normal(6)}
         lam = 0.3
         h = 1e-6
-        out = apply_l2({"w.W": np.zeros(6)}, params, lam)
+        out = apply_l2({"w.W": np.zeros(6)}, params, lam, ["w.W"])
         for i in range(6):
             plus, minus = params["w.W"].copy(), params["w.W"].copy()
             plus[i] += h
             minus[i] -= h
-            numeric = (l2_penalty({"w.W": plus}, lam) - l2_penalty({"w.W": minus}, lam)) / (2 * h)
+            numeric = (l2_penalty({"w.W": plus}, lam, ["w.W"]) - l2_penalty({"w.W": minus}, lam, ["w.W"])) / (2 * h)
             assert out["w.W"][i] == pytest.approx(numeric, abs=1e-6)
 
 

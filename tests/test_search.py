@@ -1,10 +1,13 @@
-"""The task runner behind grid search and cross-validation, and its BLAS thread budget."""
+"""The task runner behind grid search and cross-validation, its BLAS thread budget, and corpus decoding in CV."""
 
 import threading
 from types import SimpleNamespace
 
 import pytest
 
+from wellqc.cli import main
+from wellqc.data import manifest
+from wellqc.data.pgm import read_pgm
 from wellqc.training import search
 from wellqc.training.config import default_run_config
 from wellqc.training.search import GridSpec, blas_threads, cross_validate, grid_search
@@ -45,8 +48,8 @@ def recording_train(monkeypatch):
 
 @pytest.fixture
 def stub_fold_io(monkeypatch):
-    """Folds load nothing and evaluate to a fixed report, so only ``train`` runs."""
-    monkeypatch.setattr(search, "load_examples", lambda manifest: manifest)
+    """The corpus decodes nothing and folds evaluate to a fixed report, so only ``train`` runs."""
+    monkeypatch.setattr(search, "load_examples", lambda manifest: SimpleNamespace(subset=lambda rows: rows))
     report = SimpleNamespace(accuracy=0.5, precision=None, recall=None, f1=None)
     monkeypatch.setattr(search, "evaluate_checkpoint", lambda checkpoint, val_set: report)
 
@@ -157,3 +160,17 @@ def test_jobs_below_one_rejected(recording_train, jobs):
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         run_grid(jobs=jobs)
     assert recording_train == []
+
+
+def test_cv_decodes_each_image_once(monkeypatch, tmp_path):
+    calls = []
+
+    def counting_read_pgm(path):
+        calls.append(path)
+        return read_pgm(path)
+
+    assert main(["gen", "--seed", "2", "--ok", "10", "--ng", "10", "--out-dir", str(tmp_path / "corpus")]) == 0
+    monkeypatch.setattr(manifest, "read_pgm", counting_read_pgm)
+    argv = ["cv", "--data", str(tmp_path / "corpus" / "manifest.tsv"), "--k", "5", "--out-dir", str(tmp_path / "cv")]
+    assert main([*argv, "--set", "hyperparams.epochs=1"]) == 0
+    assert len(calls) == 20

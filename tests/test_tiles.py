@@ -14,7 +14,7 @@ from wellqc.data.wells import CROP_SIZE
 
 def checkerboard_frame(h, w, seed=0):
     rng = np.random.default_rng(seed)
-    return ScanFrame(pixels=rng.random((h, w)).astype(np.float32), lane_id="lane1", frame_id="f0")
+    return ScanFrame(pixels=rng.random((h, w)).astype(np.float32))
 
 
 class TestTileScan:
@@ -67,13 +67,6 @@ class TestTileScan:
             rebuilt[y0 : y0 + CROP_SIZE, x0 : x0 + CROP_SIZE] = crop.pixels[:, :, 0]
             covered[y0 : y0 + CROP_SIZE, x0 : x0 + CROP_SIZE] = True
         npt.assert_array_equal(rebuilt[covered], frame.pixels[covered])
-
-    def test_source_ids_carry_lane_frame_cell(self):
-        frame = checkerboard_frame(300, 300)
-        grid = TileGrid(origin_x=0, origin_y=0, pitch_x=120, pitch_y=120, rows=1, cols=2)
-        crops = tile_scan(frame, grid)
-        assert crops[0].source_id == "lane1/f0/r000c000"
-        assert crops[1].source_id == "lane1/f0/r000c001"
 
 
 class TestTileGridConfig:
