@@ -29,7 +29,8 @@ import numpy as np
 
 from wellqc import __version__, configio
 from wellqc.errors import FormatError, GradCheckFailure, WellQcError
-from wellqc.data.manifest import MANIFEST_VERSION, DatasetManifest, load_examples
+from wellqc.data.augment import AUG_NONE
+from wellqc.data.manifest import DatasetManifest, load_examples, read_crop, write_manifest
 from wellqc.data.pgm import read_pgm, write_pgm
 from wellqc.data.splits import split_train_val
 from wellqc.data.synth import DEFECT_KINDS, generate_synthetic
@@ -118,13 +119,12 @@ def cmd_tile(args) -> int:
     grid = configio.load_file(TileGrid, args.grid)
     crops = tile_scan(frame, grid)
     out_dir = _prepare_out_dir(args)
-    lines = [f"#wellqc-manifest v{MANIFEST_VERSION} num_classes=2"]
+    names = []
     for crop in crops:
-        name = f"r{crop.row:03d}c{crop.col:03d}.pgm"
-        write_pgm(crop.pixels, out_dir / name, maxval=255)
-        lines.append(f"{name}\t-\treal\tnone")
+        names.append(f"r{crop.row:03d}c{crop.col:03d}.pgm")
+        write_pgm(crop.pixels, out_dir / names[-1], maxval=255)
     skeleton = out_dir / "manifest_skeleton.tsv"
-    skeleton.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_manifest(skeleton, 2, [(name, "-", "real", AUG_NONE) for name in names])
     print(f"tile: wrote {len(crops)} crops and {skeleton.name} to {out_dir} (fill in labels)")
     return EXIT_OK
 
@@ -134,13 +134,13 @@ def cmd_train(args) -> int:
     out_dir = _prepare_out_dir(args, config)
     train_set, val_set = _load_split(args, config)
     trainer = train_logistic_baseline if args.model == "logistic" else train
-    checkpoint, history = trainer(config, train_set, val_set)
+    checkpoint = trainer(config, train_set, val_set)
     ckpt_path = out_dir / "checkpoint.bin"
     checkpoint.save(ckpt_path)
-    (out_dir / "history.csv").write_text(history_csv(history), encoding="utf-8")
-    best = history[checkpoint.best_epoch - 1]
+    (out_dir / "history.csv").write_text(history_csv(checkpoint.history), encoding="utf-8")
+    best = checkpoint.history[checkpoint.best_epoch - 1]
     print(
-        f"train[{args.model}]: {len(history)} epochs, best epoch {checkpoint.best_epoch} "
+        f"train[{args.model}]: {len(checkpoint.history)} epochs, best epoch {checkpoint.best_epoch} "
         f"(val_loss={best.val_loss:.4f}, val_accuracy={best.val_accuracy:.4f}) -> {ckpt_path}"
     )
     return EXIT_OK
@@ -199,12 +199,8 @@ def cmd_predict(args) -> int:
         dataset = load_examples(manifest)
         images, ids = dataset.images, dataset.ids
     else:
-        stack, ids = [], []
-        for path in args.images:
-            pixels, _ = read_pgm(path)
-            stack.append(pixels[:, :, None])
-            ids.append(str(path))
-        images = np.stack(stack)
+        images = np.stack([read_crop(path)[:, :, None] for path in args.images])
+        ids = [str(path) for path in args.images]
     labels, p1 = predict(checkpoint, images, threshold=args.threshold)
     out_path = out_dir / "predictions.csv"
     lines = ["id,predicted_label,prob_defective"]
@@ -219,7 +215,6 @@ def cmd_predict(args) -> int:
 def _toy_architecture() -> ArchitectureSpec:
     return ArchitectureSpec(
         input_shape=(12, 12, 1),
-        num_classes=2,
         layers=(
             LayerSpec("Conv2D", out_channels=4, kernel_size=3),
             LayerSpec("ReLU"),
@@ -227,7 +222,7 @@ def _toy_architecture() -> ArchitectureSpec:
             LayerSpec("Flatten"),
             LayerSpec("Dense", units=8),
             LayerSpec("ReLU"),
-            LayerSpec("Dropout", rate=0.2),
+            LayerSpec("Dropout"),
             LayerSpec("Dense", units=2),
             LayerSpec("Softmax"),
         ),

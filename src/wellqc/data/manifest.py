@@ -70,11 +70,7 @@ class DatasetManifest:
         return counts
 
     def save(self, path) -> None:
-        path = Path(path)
-        lines = [f"#wellqc-manifest v{MANIFEST_VERSION} num_classes={self.num_classes}"]
-        for e in self.entries:
-            lines.append(f"{e.path}\t{e.label}\t{e.origin}\t{e.aug}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_manifest(path, self.num_classes, ((e.path, e.label, e.origin, e.aug) for e in self.entries))
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
@@ -117,6 +113,17 @@ class DatasetManifest:
                     ) from None
                 entries.append(ManifestEntry(path=p, label=label, origin=origin, aug=aug))
         return cls(entries=entries, num_classes=num_classes, root=path.parent)
+
+
+def write_manifest(path, num_classes: int, records) -> None:
+    """Write the header line and one (path, label, origin, augmentation) record per line.
+
+    A label of "-" marks an unlabelled record, as in the skeleton ``tile``
+    writes; ``DatasetManifest.load`` rejects it until it is filled in.
+    """
+    lines = [f"#wellqc-manifest v{MANIFEST_VERSION} num_classes={num_classes}"]
+    lines += [f"{p}\t{label}\t{origin}\t{aug}" for p, label, origin, aug in records]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def expand_dataset(manifest: DatasetManifest, target_per_class: int = 500) -> DatasetManifest:
@@ -185,9 +192,17 @@ def load_examples(manifest: DatasetManifest) -> Dataset:
     pixel_cache: dict[str, np.ndarray] = {}
     for i, e in enumerate(manifest.entries):
         if e.path not in pixel_cache:
-            pixels, _ = read_pgm(base / e.path)
-            pixel_cache[e.path] = pixels
+            pixel_cache[e.path] = read_crop(base / e.path)
         images[i, :, :, 0] = augment_pixels(pixel_cache[e.path], e.aug)
         labels[i] = e.label
         ids.append(e.example_id)
     return Dataset(images=images, labels=labels, ids=ids)
+
+
+def read_crop(path) -> np.ndarray:
+    """One well crop's (111, 111) float32 pixels; another size is a FormatError naming the file."""
+    pixels, _ = read_pgm(path)
+    if pixels.shape != (CROP_SIZE, CROP_SIZE):
+        height, width = pixels.shape
+        raise FormatError(f"{path}: crop is {width}x{height} pixels, expected {CROP_SIZE}x{CROP_SIZE}")
+    return pixels

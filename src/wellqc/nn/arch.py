@@ -1,11 +1,12 @@
 """Declarative network architecture: layer specs, validation, shape inference.
 
 An architecture is data, not code: an ordered list of layer specs plus the
-input shape and class count, loaded from a JSON file by ``wellqc.configio``
-so the shipped model can be edited without touching the package.
+input shape, loaded from a JSON file by ``wellqc.configio`` so the shipped
+model can be edited without touching the package. The class count is the
+width of the Softmax head, so it is not stored.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from wellqc.errors import ConfigError, ShapeError
 from wellqc.nn.ops import conv_output_hw
@@ -20,9 +21,8 @@ class LayerSpec:
     Conv2D: out_channels, kernel_size, stride (default 1; square kernel)
     MaxPool2D: window, stride (default: stride = window)
     Dense: units
-    Dropout: rate in [0, 1); ``train`` overwrites it with
-        ``hyperparams.dropout_rate``, so this value never governs a run
-    ReLU / Flatten / Softmax: no parameters
+    ReLU / Flatten / Dropout / Softmax: no parameters (a Dropout layer's rate
+        is the run's ``hyperparams.dropout_rate``)
     """
 
     kind: str
@@ -31,7 +31,6 @@ class LayerSpec:
     stride: int | None = None
     window: int | None = None
     units: int | None = None
-    rate: float | None = None
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
@@ -40,7 +39,6 @@ class LayerSpec:
             "Conv2D": ("out_channels", "kernel_size"),
             "MaxPool2D": ("window",),
             "Dense": ("units",),
-            "Dropout": ("rate",),
         }.get(self.kind, ())
         for name in required:
             if getattr(self, name) is None:
@@ -51,8 +49,6 @@ class LayerSpec:
                 raise ConfigError(f"{self.kind}.{name} must be >= 1, got {value}")
         if self.stride is not None and self.stride < 1:
             raise ConfigError(f"{self.kind}.stride must be >= 1, got {self.stride}")
-        if self.rate is not None and not 0.0 <= self.rate < 1.0:
-            raise ConfigError(f"Dropout.rate must be in [0, 1), got {self.rate}")
 
     @property
     def effective_stride(self) -> int:
@@ -63,36 +59,36 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
-    """Input shape, number of output classes and ordered layers.
+    """Input shape and ordered layers.
 
     The field order is the key order of the serialized form.
     """
 
     input_shape: tuple[int, int, int]
-    num_classes: int = 2
-    layers: tuple[LayerSpec, ...] = field(kw_only=True)
+    layers: tuple[LayerSpec, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
         if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
             raise ConfigError(f"input_shape must be 3 positive dims (H, W, C), got {self.input_shape}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+
+    @property
+    def num_classes(self) -> int:
+        """The width of the Softmax head."""
+        return self.validate()[-1][0]
 
     def validate(self) -> list[tuple[int, ...]]:
         """Run shape inference end-to-end and check the classifier head.
 
-        The last layer must be Softmax over a vector of length num_classes.
+        The last layer must be Softmax over a vector of at least 2 classes.
         Returns the per-layer output shapes.
         """
         shapes = infer_shapes(self)
         if not self.layers or self.layers[-1].kind != "Softmax":
             raise ShapeError("architecture must end with a Softmax layer")
-        if shapes[-1] != (self.num_classes,):
-            raise ShapeError(
-                f"final layer produces shape {shapes[-1]}, expected ({self.num_classes},)"
-            )
+        if shapes[-1][0] < 2:
+            raise ShapeError(f"the Softmax head has {shapes[-1][0]} class(es); at least 2 are needed")
         return shapes
 
 
@@ -150,7 +146,6 @@ def default_architecture(dense_units: int = 48) -> ArchitectureSpec:
     """
     return ArchitectureSpec(
         input_shape=(111, 111, 1),
-        num_classes=2,
         layers=(
             LayerSpec("Conv2D", out_channels=8, kernel_size=3, stride=1),
             LayerSpec("ReLU"),
@@ -160,7 +155,7 @@ def default_architecture(dense_units: int = 48) -> ArchitectureSpec:
             LayerSpec("MaxPool2D", window=2, stride=2),
             LayerSpec("Flatten"),
             LayerSpec("Dense", units=dense_units),
-            LayerSpec("Dropout", rate=0.2),
+            LayerSpec("Dropout"),
             LayerSpec("Dense", units=2),
             LayerSpec("Softmax"),
         ),
@@ -171,7 +166,6 @@ def logistic_architecture(input_shape=(111, 111, 1), num_classes: int = 2) -> Ar
     """Multinomial logistic regression on raw pixels: Flatten, Dense, Softmax."""
     return ArchitectureSpec(
         input_shape=tuple(input_shape),
-        num_classes=num_classes,
         layers=(
             LayerSpec("Flatten"),
             LayerSpec("Dense", units=num_classes),

@@ -44,6 +44,7 @@ class Model:
     spec: ArchitectureSpec
     params: dict[str, np.ndarray]
     mode: str = INFER
+    dropout_rate: float = 0.0  # of every Dropout layer, in train mode
 
     @property
     def layer_names(self) -> list[str]:
@@ -71,6 +72,7 @@ class Model:
             spec=self.spec,
             params={k: v.astype(dtype) for k, v in self.params.items()},
             mode=self.mode,
+            dropout_rate=self.dropout_rate,
         )
 
 
@@ -108,8 +110,8 @@ def model_forward(model: Model, batch, rng=None):
     """Run the batch through every layer; returns (probabilities, cache).
 
     ``cache`` holds per-layer values needed by model_backward. In train mode
-    dropout draws its masks from ``rng``; in infer mode the pass is a pure
-    deterministic function of (model, batch).
+    dropout draws its masks, at ``model.dropout_rate``, from ``rng``; in
+    infer mode the pass is a pure deterministic function of (model, batch).
     """
     x = np.asarray(batch)
     if x.ndim != 4 or x.shape[1:] != tuple(model.spec.input_shape):
@@ -136,7 +138,7 @@ def model_forward(model: Model, batch, rng=None):
             out = ops.dense_forward(x, w, b)
             cache.append((x,))
         elif kind == "Dropout":
-            out, mask = ops.dropout_forward(x, layer.rate, rng, model.mode)
+            out, mask = ops.dropout_forward(x, model.dropout_rate, rng, model.mode)
             cache.append((mask,))
         elif kind == "Softmax":
             log_probs = ops.log_softmax(x)
@@ -191,7 +193,7 @@ def model_backward(model: Model, cache, labels) -> dict[str, np.ndarray]:
             grads[f"{name}.b"] = gb
         elif kind == "Dropout":
             (mask,) = cache[idx]
-            g = ops.dropout_backward(g, mask, layer.rate)
+            g = ops.dropout_backward(g, mask, model.dropout_rate)
     return grads
 
 

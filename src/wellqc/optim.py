@@ -1,5 +1,8 @@
 """Adam optimizer with L2 weight regularization.
 
+Adam is the only optimizer and sparse categorical cross-entropy the only
+loss, so a run config names neither.
+
 The update follows the bias-corrected form:
 
     t <- t + 1
@@ -27,12 +30,10 @@ class Hyperparams:
     """Training knobs; the defaults are the shipped configuration."""
 
     learning_rate: float = 0.001
-    optimizer: str = "adam"
     epochs: int = 40
     batch_size: int = 16
-    dropout_rate: float = 0.2
+    dropout_rate: float = 0.2  # of every Dropout layer; an architecture stores no rate
     l2_lambda: float = 0.3
-    loss: str = "sparse_categorical_cross_entropy"
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -45,10 +46,6 @@ class Hyperparams:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.l2_lambda < 0:
             raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
-        if self.optimizer != "adam":
-            raise ConfigError(f"unsupported optimizer {self.optimizer!r}")
-        if self.loss != "sparse_categorical_cross_entropy":
-            raise ConfigError(f"unsupported loss {self.loss!r}")
 
 
 @dataclass

@@ -2,17 +2,19 @@
 
 Byte layout (documented for cross-implementation compatibility):
 
-    line 1:  ASCII "WELLQC-CKPT v1 <header_bytes>\\n"
-    header:  exactly <header_bytes> bytes of UTF-8 JSON with sorted keys:
-             architecture, best_epoch, format_version, history, hyperparams,
-             params (an ordered list of {"name", "shape"})
+    line 1:  ASCII "WELLQC-CKPT v2 <header_bytes>\\n", the one place the
+             version is stored
+    header:  exactly <header_bytes> bytes of UTF-8 JSON with five sorted keys:
+             architecture, best_epoch, history, hyperparams, params (an
+             ordered list of {"name", "shape"})
     blocks:  for each params entry in listed order, the tensor's values as
              raw little-endian 32-bit floats in row-major (C) order
 
 Weights round-trip bit-exactly, so a loaded checkpoint predicts identically
 to the in-memory model it was saved from. Loading checks the header with the
 strict config codec and checks that the listed params are exactly the
-tensors the architecture has; any defect is a FormatError.
+tensors the architecture has; any defect is a FormatError, and so is a file
+of another version: a v1 model must be retrained.
 """
 
 import json
@@ -28,7 +30,7 @@ from wellqc.nn.arch import ArchitectureSpec
 from wellqc.nn.model import INFER, Model, param_shapes
 from wellqc.optim import Hyperparams
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _MAGIC = "WELLQC-CKPT"
 
 
@@ -55,7 +57,6 @@ class _ParamEntry:
 
 @dataclass(frozen=True)
 class _Header:
-    format_version: int
     architecture: ArchitectureSpec
     hyperparams: Hyperparams
     params: tuple[_ParamEntry, ...]
@@ -71,12 +72,11 @@ class Checkpoint:
     history: list = field(default_factory=list)
     best_epoch: int = 0
 
-    def to_model(self, mode: str = INFER) -> Model:
-        return Model(spec=self.spec, params={k: v.copy() for k, v in self.params.items()}, mode=mode)
+    def to_model(self) -> Model:
+        return Model(spec=self.spec, params={k: v.copy() for k, v in self.params.items()}, mode=INFER)
 
     def save(self, path) -> None:
         header = _Header(
-            format_version=CHECKPOINT_VERSION,
             architecture=self.spec,
             hyperparams=self.hyperparams,
             params=tuple(_ParamEntry(name, value.shape) for name, value in self.params.items()),
@@ -114,8 +114,6 @@ class Checkpoint:
             expected = param_shapes(header.architecture)
         except (ValueError, WellQcError) as exc:
             raise FormatError(f"{path}: bad header: {exc}", offset=header_start) from None
-        if header.format_version != CHECKPOINT_VERSION:
-            raise FormatError(f"{path}: header format_version {header.format_version} is not v{CHECKPOINT_VERSION}", offset=header_start)
         if sorted((p.name, p.shape) for p in header.params) != sorted(expected.items()):
             listed = ", ".join(f"{name}{list(shape)}" for name, shape in expected.items())
             raise FormatError(f"{path}: header params are not the architecture's {listed}", offset=header_start)

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from wellqc.errors import NonFiniteGradient
-from wellqc.nn.arch import ArchitectureSpec, logistic_architecture
+from wellqc.nn.arch import logistic_architecture
 from wellqc.nn.model import TRAIN, Model, init_model, model_backward, model_forward, model_loss, predict_probs
 from wellqc.optim import adam_step, apply_l2, init_adam_state, l2_penalty
 from wellqc.training.checkpoint import HISTORY_COLUMNS, Checkpoint, EpochRecord
@@ -57,20 +57,22 @@ def evaluate_model(model: Model, images, labels):
 
 
 def train(config: RunConfig, train_set, val_set):
-    """Train on ``train_set``, monitor ``val_set``; returns (Checkpoint, history).
+    """Train on ``train_set``, monitor ``val_set``; returns the Checkpoint.
 
     The checkpoint carries the weights of the best monitored epoch, not the
-    last one. All randomness (init, shuffling, dropout) comes from one
-    generator seeded with config.seed, so a rerun is bit-identical.
+    last one, and the history of every epoch run. Every Dropout layer drops
+    at ``hyperparams.dropout_rate``. All randomness (init, shuffling,
+    dropout) comes from one generator seeded with config.seed, so a rerun is
+    bit-identical.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be non-empty")
     hp = config.hyperparams
-    arch = _with_dropout_rate(config.architecture, hp.dropout_rate)
     es = config.early_stopping
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    model = init_model(arch, rng, dtype=np.float32, mode=TRAIN)
+    model = init_model(config.architecture, rng, dtype=np.float32, mode=TRAIN)
+    model.dropout_rate = hp.dropout_rate
     state = init_adam_state(model.params)
     reg_keys = model.regularized_keys()
 
@@ -125,15 +127,7 @@ def train(config: RunConfig, train_set, val_set):
             log.info("early stop after epoch %d; keeping epoch %d", epoch, best)
             break
 
-    return Checkpoint(spec=arch, params=best_params, hyperparams=hp, history=history, best_epoch=best), history
-
-
-def _with_dropout_rate(arch: ArchitectureSpec, rate: float) -> ArchitectureSpec:
-    """The dropout-rate hyperparameter governs every Dropout layer."""
-    layers = tuple(
-        replace(layer, rate=rate) if layer.kind == "Dropout" else layer for layer in arch.layers
-    )
-    return replace(arch, layers=layers)
+    return Checkpoint(spec=config.architecture, params=best_params, hyperparams=hp, history=history, best_epoch=best)
 
 
 def train_logistic_baseline(config: RunConfig, train_set, val_set):

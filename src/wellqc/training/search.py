@@ -19,7 +19,7 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -102,15 +102,16 @@ class GridSpec:
     dropout_rate: tuple[float, ...] = ()
     l2_lambda: tuple[float, ...] = ()
 
-    AXES = ("learning_rate", "batch_size", "dropout_rate", "l2_lambda")
-
     def cells(self, base) -> list[dict]:
         """All combinations in row-major order over the axes above.
 
         Axes with no candidates use the base config's value.
         """
-        axes = [getattr(self, axis) or (getattr(base, axis),) for axis in self.AXES]
-        return [dict(zip(self.AXES, values)) for values in itertools.product(*axes)]
+        axes = [getattr(self, axis) or (getattr(base, axis),) for axis in GRID_AXES]
+        return [dict(zip(GRID_AXES, values)) for values in itertools.product(*axes)]
+
+
+GRID_AXES = tuple(f.name for f in fields(GridSpec))
 
 
 @dataclass
@@ -134,12 +135,12 @@ def _run_cell(index: int, values: dict, base_config: RunConfig, train_set, val_s
     result = CellResult(index=index, values=values, seed=seed)
     config = replace(base_config.with_hyperparams(**values), seed=seed)
     try:
-        checkpoint, history = train(config, train_set, val_set)
-        best = history[checkpoint.best_epoch - 1]
+        checkpoint = train(config, train_set, val_set)
+        best = checkpoint.history[checkpoint.best_epoch - 1]
         result.val_accuracy = best.val_accuracy
         result.val_loss = best.val_loss
         result.best_epoch = checkpoint.best_epoch
-        result.epochs_run = len(history)
+        result.epochs_run = len(checkpoint.history)
     except (NonFiniteGradient, WellQcError) as exc:
         result.error = f"{type(exc).__name__}: {exc}"
         log.warning("grid cell %d failed: %s", index, result.error)
@@ -171,17 +172,13 @@ def grid_search(grid: GridSpec, base_config: RunConfig, train_set, val_set, jobs
 
 
 def grid_table_csv(results) -> str:
-    lines = ["rank,index,learning_rate,batch_size,dropout_rate,l2_lambda,val_accuracy,val_loss,best_epoch,error"]
+    lines = [",".join(("rank", "index", *GRID_AXES, "val_accuracy", "val_loss", "best_epoch", "error"))]
     for rank, r in enumerate(results, start=1):
-        v = r.values
         acc = "" if r.val_accuracy is None else f"{r.val_accuracy:.6f}"
         loss = "" if r.val_loss is None else f"{r.val_loss:.6f}"
         best = "" if r.best_epoch is None else str(r.best_epoch)
-        err = r.error or ""
-        lines.append(
-            f"{rank},{r.index},{v['learning_rate']},{v['batch_size']},{v['dropout_rate']},"
-            f"{v['l2_lambda']},{acc},{loss},{best},{err}"
-        )
+        axes = (str(r.values[axis]) for axis in GRID_AXES)
+        lines.append(",".join((str(rank), str(r.index), *axes, acc, loss, best, r.error or "")))
     return "\n".join(lines) + "\n"
 
 
@@ -208,9 +205,9 @@ def _run_fold(fold: int, base_config: RunConfig, corpus, train_rows, val_rows) -
     seed = derive_seed(base_config.seed, _KIND_CV_FOLD, fold)
     config = replace(base_config, seed=seed)
     train_set, val_set = corpus.subset(train_rows), corpus.subset(val_rows)
-    checkpoint, history = train(config, train_set, val_set)
+    checkpoint = train(config, train_set, val_set)
     report = evaluate_checkpoint(checkpoint, val_set)
-    best = history[checkpoint.best_epoch - 1]
+    best = checkpoint.history[checkpoint.best_epoch - 1]
     return FoldResult(
         fold=fold,
         seed=seed,

@@ -90,10 +90,17 @@ class TestArchitectureSpec:
     def test_head_width_must_match_num_classes(self):
         spec = ArchitectureSpec(
             input_shape=(4, 4, 1),
-            num_classes=2,
             layers=(LayerSpec("Flatten"), LayerSpec("Dense", units=3), LayerSpec("Softmax")),
         )
-        with pytest.raises(ShapeError):
+        assert spec.num_classes == 3
+        assert logistic_architecture((4, 4, 1), num_classes=3).num_classes == 3
+
+    def test_one_class_head_rejected(self):
+        spec = ArchitectureSpec(
+            input_shape=(4, 4, 1),
+            layers=(LayerSpec("Flatten"), LayerSpec("Dense", units=1), LayerSpec("Softmax")),
+        )
+        with pytest.raises(ShapeError, match="at least 2"):
             spec.validate()
 
     def test_round_trip_through_dict(self):
@@ -106,7 +113,7 @@ class TestArchitectureSpec:
         assert configio.load_file(ArchitectureSpec, tmp_path / "arch.json") == arch
 
     def test_serialized_key_order(self):
-        assert list(configio.dump(default_architecture())) == ["input_shape", "num_classes", "layers"]
+        assert list(configio.dump(default_architecture())) == ["input_shape", "layers"]
 
     def test_layer_error_names_its_path(self):
         d = configio.dump(default_architecture())
@@ -123,11 +130,6 @@ class TestLayerSpecValidation:
     def test_missing_required_param_rejected(self):
         with pytest.raises(ConfigError):
             LayerSpec("Conv2D", out_channels=8)
-
-    def test_dropout_rate_range(self):
-        with pytest.raises(ConfigError):
-            LayerSpec("Dropout", rate=1.0)
-        LayerSpec("Dropout", rate=0.0)  # boundary is allowed
 
     def test_pool_default_stride_is_window(self):
         layer = LayerSpec("MaxPool2D", window=3)

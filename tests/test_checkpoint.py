@@ -1,7 +1,6 @@
 """Checkpoint container: byte layout, round trips, bit-exact predictions."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -10,12 +9,16 @@ import pytest
 from wellqc.errors import FormatError
 from wellqc.nn.model import init_model, predict_probs
 from wellqc.optim import Hyperparams
-from wellqc.training.checkpoint import Checkpoint, EpochRecord
+from wellqc.training.checkpoint import CHECKPOINT_VERSION, Checkpoint, EpochRecord
 
 from tests.test_model import toy_spec
 
 
-def rewrite_header(path, edit):
+def magic_line(header_len, version=CHECKPOINT_VERSION) -> bytes:
+    return b"WELLQC-CKPT v%d %d\n" % (version, header_len)
+
+
+def rewrite_header(path, edit, version=CHECKPOINT_VERSION):
     """Apply ``edit`` to the checkpoint's JSON header in place, fixing the length."""
     data = path.read_bytes()
     nl = data.find(b"\n")
@@ -23,7 +26,7 @@ def rewrite_header(path, edit):
     header = json.loads(data[nl + 1 : nl + 1 + header_len])
     edit(header)
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    path.write_bytes(b"WELLQC-CKPT v1 %d\n" % len(header_bytes) + header_bytes + data[nl + 1 + header_len :])
+    path.write_bytes(magic_line(len(header_bytes), version) + header_bytes + data[nl + 1 + header_len :])
 
 
 def set_shape(header, index, shape):
@@ -83,9 +86,10 @@ class TestRoundTrip:
         data = path.read_bytes()
         nl = data.find(b"\n")
         magic = data[:nl].split()
-        assert magic[0] == b"WELLQC-CKPT" and magic[1] == b"v1"
+        assert magic[0] == b"WELLQC-CKPT" and magic[1] == b"v%d" % CHECKPOINT_VERSION
         header_len = int(magic[2])
         header = json.loads(data[nl + 1 : nl + 1 + header_len])
+        assert sorted(header) == ["architecture", "best_epoch", "history", "hyperparams", "params"]
         blob = data[nl + 1 + header_len :]
         expected = sum(int(np.prod(p["shape"])) for p in header["params"]) * 4
         assert len(blob) == expected
@@ -153,12 +157,12 @@ class TestMalformed:
 
     def test_header_that_is_not_an_object_is_a_format_error(self, tmp_path):
         path = tmp_path / "model.bin"
-        path.write_bytes(b"WELLQC-CKPT v1 2\n[]")
+        path.write_bytes(magic_line(2) + b"[]")
         with pytest.raises(FormatError, match="expected an object"):
             Checkpoint.load(path)
 
     def test_negative_header_length_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
-        path.write_bytes(b"WELLQC-CKPT v1 -5\n{}")
+        path.write_bytes(magic_line(-5) + b"{}")
         with pytest.raises(FormatError, match="header length"):
             Checkpoint.load(path)

@@ -21,7 +21,6 @@ ONE_EPOCH = ["--set", "hyperparams.epochs=1"]
 EARLY_STOPPING = {"hyperparams": {"epochs": 4, "learning_rate": 0.003}, "early_stopping": {"patience": 1}}
 TOY_ARCH = {
     "input_shape": [10, 10, 1],
-    "num_classes": 2,
     "layers": [
         {"kind": "Conv2D", "out_channels": 3, "kernel_size": 3},
         {"kind": "ReLU"},

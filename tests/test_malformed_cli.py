@@ -2,7 +2,8 @@
 
 Exit code 1 is a contract violation (here: a config the strict loader
 rejects), exit code 2 an I/O or format error (a defective checkpoint header
-or manifest). No input may end in a traceback.
+or manifest, a checkpoint of another format version, a crop of the wrong
+size). No input may end in a traceback.
 """
 
 import json
@@ -30,6 +31,8 @@ TILE_GRID = {"origin_x": 0, "origin_y": 0, "pitch_x": 111, "pitch_y": 111, "rows
 ARCH = configio.dump(default_architecture())
 ARCH_STRING_CHANNELS = json.loads(json.dumps(ARCH))
 ARCH_STRING_CHANNELS["layers"][0]["out_channels"] = "4"
+ARCH_DROPOUT_RATE = json.loads(json.dumps(ARCH))
+ARCH_DROPOUT_RATE["layers"][8]["rate"] = 0.2
 
 # id, argv, contents of {tmp}/input.json (None: not written), what the error line names
 CONFIG_CASES = [
@@ -65,6 +68,15 @@ CONFIG_CASES = [
      'early_stopping.patience: expected an integer, got "3"'),
     ("config-top-level-list", CONFIG, [{"seed": 1}],
      "the top level must be a JSON object"),
+    # keys that checkpoint format v1 stored and v2 dropped
+    ("config-hyperparams-optimizer", CONFIG, {"hyperparams": {"optimizer": "adam"}},
+     "hyperparams: unknown key(s) 'optimizer'"),
+    ("config-hyperparams-loss", CONFIG, {"hyperparams": {"loss": "sparse_categorical_cross_entropy"}},
+     "hyperparams: unknown key(s) 'loss'"),
+    ("config-dropout-layer-rate", CONFIG, {"architecture": ARCH_DROPOUT_RATE},
+     "architecture.layers[8]: unknown key(s) 'rate'"),
+    ("config-architecture-num-classes", CONFIG, {"architecture": {"num_classes": 2}},
+     "architecture: unknown key(s) 'num_classes'"),
 ]
 
 # id, edit of the checkpoint's JSON header, what the error line names
@@ -76,8 +88,14 @@ CHECKPOINT_CASES = [
      "history[0].train_loss: missing required key"),
     ("negative-shape", lambda h: h["params"][0].update(shape=[-12321, 2]), "header params are not"),
     ("duplicate-param-name", lambda h: h["params"].append(h["params"][0]), "header params are not"),
-    ("format-version-differs-from-magic-line", lambda h: h.update(format_version=7), "header format_version 7 is not v1"),
 ]
+
+
+def as_v1_header(header):
+    """The header a v1 file of the same model held."""
+    header["format_version"] = 1
+    header["architecture"]["num_classes"] = 2
+    header["hyperparams"].update(optimizer="adam", loss="sparse_categorical_cross_entropy")
 
 
 # id, argv, what the error line names
@@ -150,6 +168,33 @@ def test_defective_checkpoint_header_exits_2_with_one_line(workspace, tmp_path, 
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: FormatError: "), lines
     assert names in lines[0]
+
+
+def test_v1_checkpoint_exits_2_with_one_line(workspace, tmp_path, capsys):
+    old = tmp_path / "checkpoint.bin"
+    shutil.copyfile(workspace["checkpoint"], old)
+    rewrite_header(old, as_v1_header, version=1)
+    code, lines = run_cli(EVAL, capsys, tmp=tmp_path, **{**workspace, "checkpoint": old})
+    assert code == 2
+    assert lines == [f"error: FormatError: {old}: unsupported checkpoint version v1"]
+
+
+# id, argv; {tmp}/small.pgm is a 50x50 crop, which {tmp}/manifest.tsv lists, and {tmp}/well.pgm a 111x111 one
+CROP_CASES = [
+    ("manifest-entry", ["eval", "--checkpoint", "{checkpoint}", "--data", "{tmp}/manifest.tsv", "--out-dir", "{tmp}/out"]),
+    ("predict-paths", ["predict", "--checkpoint", "{checkpoint}", "--out-dir", "{tmp}/out", "{tmp}/well.pgm",
+                       "{tmp}/small.pgm"]),
+]
+
+
+@pytest.mark.parametrize("argv", [case[1] for case in CROP_CASES], ids=[case[0] for case in CROP_CASES])
+def test_crop_of_another_size_exits_2_naming_its_file(workspace, tmp_path, capsys, argv):
+    write_pgm(np.zeros((111, 111)), tmp_path / "well.pgm")
+    write_pgm(np.zeros((50, 50)), tmp_path / "small.pgm")
+    (tmp_path / "manifest.tsv").write_text("#wellqc-manifest v1 num_classes=2\nwell.pgm\t0\treal\tnone\nsmall.pgm\t1\treal\tnone\n")
+    code, lines = run_cli(argv, capsys, tmp=tmp_path, **workspace)
+    assert code == 2
+    assert lines == [f"error: FormatError: {tmp_path / 'small.pgm'}: crop is 50x50 pixels, expected 111x111"]
 
 
 def test_non_integer_manifest_label_exits_2_with_its_offset(workspace, tmp_path, capsys):

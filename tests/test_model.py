@@ -21,7 +21,6 @@ from wellqc.nn.model import (
 def toy_spec(h=12, w=12):
     return ArchitectureSpec(
         input_shape=(h, w, 1),
-        num_classes=2,
         layers=(
             LayerSpec("Conv2D", out_channels=4, kernel_size=3),
             LayerSpec("ReLU"),
@@ -29,7 +28,7 @@ def toy_spec(h=12, w=12):
             LayerSpec("Flatten"),
             LayerSpec("Dense", units=8),
             LayerSpec("ReLU"),
-            LayerSpec("Dropout", rate=0.2),
+            LayerSpec("Dropout"),
             LayerSpec("Dense", units=2),
             LayerSpec("Softmax"),
         ),
@@ -113,19 +112,30 @@ class TestForward:
 
 
 class TestTrainMode:
+    @pytest.fixture
+    def toy_model(self, toy_model):
+        toy_model.mode, toy_model.dropout_rate = TRAIN, 0.2
+        return toy_model
+
     def test_dropout_needs_rng_in_train_mode(self, toy_model):
-        toy_model.mode = TRAIN
         with pytest.raises(ValueError):
             model_forward(toy_model, np.zeros((1, 12, 12, 1), dtype=np.float32))
 
     def test_train_mode_draws_from_given_rng(self, toy_model):
-        toy_model.mode = TRAIN
         batch = np.random.default_rng(6).random((4, 12, 12, 1), dtype=np.float32)
         a, _ = model_forward(toy_model, batch, rng=np.random.default_rng(7))
         b, _ = model_forward(toy_model, batch, rng=np.random.default_rng(7))
         c, _ = model_forward(toy_model, batch, rng=np.random.default_rng(8))
         npt.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_zero_dropout_rate_needs_no_rng(self, toy_model):
+        toy_model.dropout_rate = 0.0
+        model_forward(toy_model, np.zeros((1, 12, 12, 1), dtype=np.float32))
+
+    def test_astype_keeps_mode_and_dropout_rate(self, toy_model):
+        wide = toy_model.astype(np.float64)
+        assert (wide.mode, wide.dropout_rate) == (TRAIN, 0.2)
 
 
 class TestWholeModelGradient:

@@ -10,7 +10,6 @@ from wellqc.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    AdamState,
     Hyperparams,
     adam_step,
     apply_l2,
@@ -201,13 +200,9 @@ class TestApplyL2:
 class TestHyperparams:
     def test_defaults_are_the_shipped_training_knobs(self):
         hp = Hyperparams()
-        assert hp.learning_rate == 0.001
-        assert hp.optimizer == "adam"
-        assert hp.epochs == 40
-        assert hp.batch_size == 16
-        assert hp.dropout_rate == 0.2
-        assert hp.l2_lambda == 0.3
-        assert hp.loss == "sparse_categorical_cross_entropy"
+        assert configio.dump(hp) == {
+            "learning_rate": 0.001, "epochs": 40, "batch_size": 16, "dropout_rate": 0.2, "l2_lambda": 0.3,
+        }
 
     @pytest.mark.parametrize(
         "bad",
@@ -224,8 +219,9 @@ class TestHyperparams:
         ],
     )
     def test_invalid_values_rejected(self, bad):
+        # optimizer and loss are not knobs: Adam and cross-entropy are the only choices
         with pytest.raises(ConfigError):
-            Hyperparams(**bad)
+            configio.load(Hyperparams, bad)
 
     def test_dict_round_trip(self):
         hp = Hyperparams(learning_rate=0.01, batch_size=8)

@@ -40,7 +40,7 @@ def recording_train(monkeypatch):
     def fake_train(config, train_set, val_set):
         control = search._openblas()
         seen.append((threading.current_thread(), control[0]() if control else None))
-        return SimpleNamespace(best_epoch=1), [SimpleNamespace(val_loss=0.5, val_accuracy=0.5)]
+        return SimpleNamespace(best_epoch=1, history=[SimpleNamespace(val_loss=0.5, val_accuracy=0.5)])
 
     monkeypatch.setattr(search, "train", fake_train)
     return seen

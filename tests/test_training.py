@@ -9,9 +9,10 @@ import pytest
 from wellqc import configio
 from wellqc.data.manifest import Dataset
 from wellqc.errors import NonFiniteGradient
-from wellqc.nn.arch import ArchitectureSpec, LayerSpec
+from wellqc.nn import ops
+from wellqc.nn.model import init_model
 from wellqc.training.checkpoint import HISTORY_COLUMNS, EpochRecord
-from wellqc.training.config import EarlyStoppingConfig, RunConfig, default_run_config
+from wellqc.training.config import EarlyStoppingConfig, default_run_config
 from wellqc.training.loop import (
     batch_slices,
     best_epoch,
@@ -83,36 +84,53 @@ class TestTrainLoop:
         # lr must be positive per the config contract; drive the null-update
         # case with the smallest positive float so updates vanish in float32
         config = small_config(dropout_rate=0.0, epochs=3, learning_rate=5e-324)
-        checkpoint, history = train(config, train_set, val_set)
-        from wellqc.nn.model import init_model
-        from wellqc.training.loop import _with_dropout_rate
-
+        checkpoint = train(config, train_set, val_set)
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-        reference = init_model(_with_dropout_rate(config.architecture, 0.0), rng)
+        reference = init_model(config.architecture, rng)
         for key in reference.params:
             npt.assert_array_equal(checkpoint.params[key], reference.params[key])
-        losses = [r.train_loss for r in history]
+        losses = [r.train_loss for r in checkpoint.history]
         assert max(losses) - min(losses) < 1e-6
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_dropout_rate_hyperparameter_draws_the_masks(self, small_split, monkeypatch, rate):
+        train_set, val_set = small_split
+        masks = []
+        real_dropout = ops.dropout_forward
+
+        def recording_dropout(x, drop, rng, mode):
+            out, mask = real_dropout(x, drop, rng, mode)
+            if mask is not None:
+                masks.append((drop, mask.mean()))
+            return out, mask
+
+        monkeypatch.setattr(ops, "dropout_forward", recording_dropout)
+        train(small_config(epochs=1, dropout_rate=rate), train_set, val_set)
+        if rate == 0.0:
+            assert masks == []
+        else:
+            assert masks and {r for r, _ in masks} == {rate}
+            assert np.mean([kept for _, kept in masks]) == pytest.approx(1.0 - rate, abs=0.05)
 
     def test_history_epochs_are_one_based_and_contiguous(self, small_split):
         train_set, val_set = small_split
-        _, history = train(small_config(epochs=3), train_set, val_set)
+        history = train(small_config(epochs=3), train_set, val_set).history
         assert [r.epoch for r in history] == [1, 2, 3]
 
     def test_rerun_is_bit_identical(self, small_split):
         train_set, val_set = small_split
         config = small_config(epochs=2)
-        ckpt_a, hist_a = train(config, train_set, val_set)
-        ckpt_b, hist_b = train(config, train_set, val_set)
-        assert history_csv(hist_a) == history_csv(hist_b)
+        ckpt_a = train(config, train_set, val_set)
+        ckpt_b = train(config, train_set, val_set)
+        assert history_csv(ckpt_a.history) == history_csv(ckpt_b.history)
         for key in ckpt_a.params:
             npt.assert_array_equal(ckpt_a.params[key], ckpt_b.params[key])
 
     def test_checkpoint_holds_best_epoch_weights(self, small_split):
         train_set, val_set = small_split
         config = small_config(epochs=4)
-        checkpoint, history = train(config, train_set, val_set)
-        best = min(history, key=lambda r: (r.val_loss, r.epoch))
+        checkpoint = train(config, train_set, val_set)
+        best = min(checkpoint.history, key=lambda r: (r.val_loss, r.epoch))
         assert checkpoint.best_epoch == best.epoch
         model = checkpoint.to_model()
         val_loss, val_acc = evaluate_model(model, val_set.images, val_set.labels)
@@ -126,10 +144,10 @@ class TestTrainLoop:
             small_config(epochs=40, learning_rate=1e-12, dropout_rate=0.0),
             early_stopping=EarlyStoppingConfig(enabled=True, metric="val_loss", patience=3),
         )
-        checkpoint, history = train(config, train_set, val_set)
-        assert len(history) < 40
-        assert checkpoint.best_epoch == best_epoch(history, "val_loss")
-        assert len(history) == checkpoint.best_epoch + 3
+        checkpoint = train(config, train_set, val_set)
+        assert len(checkpoint.history) < 40
+        assert checkpoint.best_epoch == best_epoch(checkpoint.history, "val_loss")
+        assert len(checkpoint.history) == checkpoint.best_epoch + 3
 
     def test_early_stopping_can_be_disabled(self, small_split):
         train_set, val_set = small_split
@@ -137,8 +155,7 @@ class TestTrainLoop:
             small_config(epochs=6, learning_rate=1e-12, dropout_rate=0.0),
             early_stopping=EarlyStoppingConfig(enabled=False),
         )
-        _, history = train(config, train_set, val_set)
-        assert len(history) == 6
+        assert len(train(config, train_set, val_set).history) == 6
 
     def test_divergent_learning_rate_raises_with_location(self, small_split):
         # the max-shifted softmax keeps moderate blowups finite, so the probe
@@ -151,8 +168,7 @@ class TestTrainLoop:
     def test_train_loss_includes_l2_term(self, small_split):
         train_set, val_set = small_split
         config = small_config(epochs=1)
-        _, history = train(config, train_set, val_set)
-        r = history[0]
+        r = train(config, train_set, val_set).history[0]
         assert r.train_loss > r.train_ce >= 0.0
 
     def test_empty_sets_rejected(self, small_split):
@@ -179,7 +195,7 @@ class TestLogisticBaseline:
     def test_parameter_count_is_24644(self, small_split):
         train_set, val_set = small_split
         config = small_config(epochs=1)
-        checkpoint, _ = train_logistic_baseline(config, train_set, val_set)
+        checkpoint = train_logistic_baseline(config, train_set, val_set)
         total = sum(int(v.size) for v in checkpoint.params.values())
         assert total == 111 * 111 * 2 + 2 == 24644
 
@@ -202,12 +218,12 @@ class TestLogisticBaseline:
         train_set = Dataset(images=images[:48], labels=labels[:48], ids=ids[:48])
         val_set = Dataset(images=images[48:], labels=labels[48:], ids=ids[48:])
         config = small_config(epochs=10)
-        checkpoint, history = train_logistic_baseline(config, train_set, val_set)
-        assert max(r.val_accuracy for r in history) == 1.0
+        checkpoint = train_logistic_baseline(config, train_set, val_set)
+        assert max(r.val_accuracy for r in checkpoint.history) == 1.0
 
     def test_uses_same_machinery_without_dropout(self, small_split):
         train_set, val_set = small_split
         config = small_config(epochs=1, dropout_rate=0.5)
-        checkpoint, _ = train_logistic_baseline(config, train_set, val_set)
+        checkpoint = train_logistic_baseline(config, train_set, val_set)
         assert [l.kind for l in checkpoint.spec.layers] == ["Flatten", "Dense", "Softmax"]
         assert checkpoint.hyperparams.dropout_rate == 0.0
