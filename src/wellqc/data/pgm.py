@@ -13,10 +13,11 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
 class _Tokenizer:
-    """Whitespace/comment-aware scanner that tracks the byte offset."""
+    """Whitespace/comment-aware scanner that tracks the byte offset; its errors name ``path``."""
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, path):
         self.data = data
+        self.path = path
         self.pos = 0
 
     def skip_separators(self):
@@ -38,7 +39,7 @@ class _Tokenizer:
                 break
             self.pos += 1
         if self.pos == start:
-            raise FormatError(f"expected {what}", offset=start)
+            raise FormatError(f"{self.path}: expected {what}", offset=start)
         return self.data[start : self.pos]
 
     def integer(self, what: str) -> int:
@@ -47,29 +48,29 @@ class _Tokenizer:
         try:
             return int(tok)
         except ValueError:
-            raise FormatError(f"expected integer {what}, got {tok!r}", offset=start) from None
+            raise FormatError(f"{self.path}: expected integer {what}, got {tok!r}", offset=start) from None
 
 
 def read_pgm(path):
     """Read a binary PGM; returns (pixels, maxval).
 
-    ``pixels`` is a float32 (H, W) array in [0, 1].
+    ``pixels`` is a float32 (H, W) array in [0, 1]. A FormatError names ``path``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    tok = _Tokenizer(data)
+    tok = _Tokenizer(data, path)
     magic = tok.token("magic number")
     if magic != b"P5":
-        raise FormatError(f"not a binary PGM (magic {magic!r})", offset=0)
+        raise FormatError(f"{path}: not a binary PGM (magic {magic!r})", offset=0)
     width = tok.integer("width")
     height = tok.integer("height")
     maxval = tok.integer("maxval")
     if width < 1 or height < 1:
-        raise FormatError(f"invalid dimensions {width}x{height}", offset=tok.pos)
+        raise FormatError(f"{path}: invalid dimensions {width}x{height}", offset=tok.pos)
     if not 0 < maxval < 65536:
-        raise FormatError(f"maxval {maxval} outside (0, 65536)", offset=tok.pos)
+        raise FormatError(f"{path}: maxval {maxval} outside (0, 65536)", offset=tok.pos)
     if tok.pos >= len(data) or data[tok.pos : tok.pos + 1] not in _WHITESPACE:
-        raise FormatError("missing separator before raster data", offset=tok.pos)
+        raise FormatError(f"{path}: missing separator before raster data", offset=tok.pos)
     tok.pos += 1
 
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
@@ -77,7 +78,7 @@ def read_pgm(path):
     raster = data[tok.pos : tok.pos + expected]
     if len(raster) < expected:
         raise FormatError(
-            f"truncated raster: expected {expected} bytes, found {len(raster)}",
+            f"{path}: truncated raster: expected {expected} bytes, found {len(raster)}",
             offset=tok.pos + len(raster),
         )
     raw = np.frombuffer(raster, dtype=dtype).reshape(height, width)

@@ -5,6 +5,14 @@ The model owns a flat named parameter collection (keys like "conv1.W",
 explicit cache instead of storing activations on the model, so a frozen model
 can evaluate disjoint batches concurrently. Parameters are only ever mutated
 by the optimizer.
+
+Layers run in their written order with one exception: a ReLU directly
+followed by a MaxPool2D runs after the pool, on the pooled output. Max is
+monotone, so relu(pool(x)) equals pool(relu(x)) bit for bit, while ReLU sees
+only the pooled elements (a quarter at 2x2) and the cache holds no full-size
+ReLU output. The backward pass walks that order in reverse; its gradients
+equal the written order's, up to the sign of a zero. The spec, the config and
+the layer names stay as written.
 """
 
 import math
@@ -50,6 +58,16 @@ class Model:
     def layer_names(self) -> list[str]:
         """Per-layer names, each kind counted from 1 in layer order (conv1, relu1, pool1, conv2, ...)."""
         return _layer_names(self.spec)
+
+    @property
+    def execution_order(self) -> list[int]:
+        """Layer indices in the order model_forward runs them: each ReLU directly before a MaxPool2D swaps with it."""
+        layers = self.spec.layers
+        order = list(range(len(layers)))
+        for i in range(len(layers) - 1):
+            if layers[i].kind == "ReLU" and layers[i + 1].kind == "MaxPool2D":
+                order[i], order[i + 1] = i + 1, i
+        return order
 
     @property
     def dtype(self):
@@ -109,41 +127,44 @@ def init_model(spec: ArchitectureSpec, rng, dtype=np.float32, mode: str = TRAIN)
 def model_forward(model: Model, batch, rng=None):
     """Run the batch through every layer; returns (probabilities, cache).
 
-    ``cache`` holds per-layer values needed by model_backward. In train mode
-    dropout draws its masks, at ``model.dropout_rate``, from ``rng``; in
-    infer mode the pass is a pure deterministic function of (model, batch).
+    ``cache`` holds, at each layer's index, the values model_backward needs.
+    In train mode dropout draws its masks, at ``model.dropout_rate``, from
+    ``rng``; in infer mode the pass is a pure deterministic function of
+    (model, batch).
     """
     x = np.asarray(batch)
     if x.ndim != 4 or x.shape[1:] != tuple(model.spec.input_shape):
         raise ShapeError(f"batch shape {x.shape} does not match input shape {model.spec.input_shape}")
     x = x.astype(model.dtype, copy=False)
-    cache = []
-    for layer, name in zip(model.spec.layers, model.layer_names):
+    names = model.layer_names
+    cache = [None] * len(names)
+    for idx in model.execution_order:
+        layer, name = model.spec.layers[idx], names[idx]
         kind = layer.kind
         if kind == "Conv2D":
             w, b = model.params[f"{name}.W"], model.params[f"{name}.b"]
             out = ops.conv2d_forward(x, w, b, layer.effective_stride)
-            cache.append((x,))
+            cache[idx] = (x,)
         elif kind == "ReLU":
             out = ops.relu(x)
-            cache.append((x,))
+            cache[idx] = (x,)
         elif kind == "MaxPool2D":
             out = ops.maxpool2d_forward(x, layer.window, layer.effective_stride)
-            cache.append((x, out))
+            cache[idx] = (x, out)
         elif kind == "Flatten":
             out = ops.flatten(x)
-            cache.append((x.shape,))
+            cache[idx] = (x.shape,)
         elif kind == "Dense":
             w, b = model.params[f"{name}.W"], model.params[f"{name}.b"]
             out = ops.dense_forward(x, w, b)
-            cache.append((x,))
+            cache[idx] = (x,)
         elif kind == "Dropout":
             out, mask = ops.dropout_forward(x, model.dropout_rate, rng, model.mode)
-            cache.append((mask,))
+            cache[idx] = (mask,)
         elif kind == "Softmax":
             log_probs = ops.log_softmax(x)
             out = ops.softmax(x)
-            cache.append((out, log_probs))
+            cache[idx] = (out, log_probs)
         x = out
     return x, cache
 
@@ -166,9 +187,8 @@ def model_backward(model: Model, cache, labels) -> dict[str, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
     g = ops.sparse_ce_grad_logits(probs, labels)
     names = model.layer_names
-    for idx in range(len(model.spec.layers) - 2, -1, -1):
-        layer = model.spec.layers[idx]
-        name = names[idx]
+    for idx in reversed(model.execution_order[:-1]):
+        layer, name = model.spec.layers[idx], names[idx]
         kind = layer.kind
         if kind == "Conv2D":
             (x,) = cache[idx]

@@ -12,15 +12,19 @@ Convolutions are "valid" (no padding): output side = input side - kernel
 side + 1 for stride 1, and (input - kernel) // stride + 1 in general.
 
 Convolution (im2col + one GEMM, Chellapilla, Puri & Simard 2006) and max
-pooling read their input through one zero-copy window view, ``_windows``, and
-both backward passes sum onto the input through one ``_scatter_add``.
+pooling read their input through one zero-copy window view, ``_windows``.
 Convolution's backward computes the window gradients channels-first,
-(KH, KW, C_in, N, OH, OW), and scatters them into a channels-first buffer
-seen through an NHWC view, so each add runs along a row of the image; the
-result is returned as one NHWC copy. Pooling's forward is a running maximum,
+(KH, KW, C_in, N, OH, OW), and sums them through ``_scatter_add`` into a
+channels-first buffer seen through an NHWC view, so each add runs along a row
+of the image; the result is returned as one NHWC copy. Its forward adds the
+bias along rows of OW * C_out values. Pooling's forward is a running maximum,
 with no argmax; its tie rule lives in the backward pass, which routes each
 gradient to the first cell, in row-major window order, that equals the
-window's output.
+window's output. With stride == window (the shipped model) the windows do not
+overlap: the backward writes the routed pieces into one contiguous
+(KH, KW, N, OH, OW, C) buffer and stores it with one copy through a
+(N, OH, KH, OW, KW, C) block view of the input gradient. Any other stride
+goes through ``_scatter_add``, which sums the pieces of overlapping windows.
 """
 
 import numpy as np
@@ -88,7 +92,9 @@ def conv2d_forward(x, weights, bias, stride=1):
         raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
     oh, ow = conv_output_hw(x.shape[1], x.shape[2], kh, kw, stride)
     out = _im2col(x, kh, kw, stride) @ weights.reshape(kh * kw * cin, cout)
-    out += bias
+    # out[r, o] += bias[o] for every output pixel r, one long row of OW * C_out sums per image row.
+    rows = out.reshape(x.shape[0] * oh, ow * cout)
+    rows += np.tile(bias, ow)
     return out.reshape(x.shape[0], oh, ow, cout).astype(x.dtype, copy=False)
 
 
@@ -145,9 +151,21 @@ def maxpool2d_backward(grad_out, cache, input_shape, window, stride=None):
         hit = wins[:, :, :, dy, dx, :] == out
         hit &= unrouted
         np.logical_xor(unrouted, hit, out=unrouted)  # hit is a subset of unrouted
-        return grad_out * hit
+        return hit
 
-    return _scatter_add(np.zeros(input_shape, grad_out.dtype), window, window, stride, first_max)
+    gx = np.zeros(input_shape, grad_out.dtype)
+    if stride != window:
+        return _scatter_add(gx, window, window, stride, lambda dy, dx: grad_out * first_max(dy, dx))
+    # No overlap, so each cell takes one piece: write them all contiguously,
+    # then store them with one copy through the (N, OH, KH, OW, KW, C) block view of gx.
+    n, oh, ow, c = out.shape
+    pieces = np.empty((window, window, n, oh, ow, c), grad_out.dtype)
+    for dy, dx in np.ndindex(window, window):
+        np.multiply(grad_out, first_max(dy, dx), out=pieces[dy, dx])
+    pieces += 0  # -0 becomes +0, as 0 + v does in the scatter
+    blocks = gx[:, : oh * window, : ow * window].reshape(n, oh, window, ow, window, c, copy=False)
+    blocks[...] = pieces.transpose(2, 3, 0, 4, 1, 5)
+    return gx
 
 
 # ---------------------------------------------------------------------------

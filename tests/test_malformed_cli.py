@@ -3,7 +3,7 @@
 Exit code 1 is a contract violation (here: a config the strict loader
 rejects), exit code 2 an I/O or format error (a defective checkpoint header
 or manifest, a checkpoint of another format version, a crop of the wrong
-size). No input may end in a traceback.
+size, a truncated PGM). No input may end in a traceback.
 """
 
 import json
@@ -195,6 +195,33 @@ def test_crop_of_another_size_exits_2_naming_its_file(workspace, tmp_path, capsy
     code, lines = run_cli(argv, capsys, tmp=tmp_path, **workspace)
     assert code == 2
     assert lines == [f"error: FormatError: {tmp_path / 'small.pgm'}: crop is 50x50 pixels, expected 111x111"]
+
+
+# id, argv; {tmp}/cut.pgm is a 111x111 PGM cut to 3 raster bytes, which {tmp}/manifest.tsv lists
+TRUNCATED_PGM_CASES = [
+    ("tile-frame", ["tile", "--frame", "{tmp}/cut.pgm", "--grid", "{tmp}/input.json", "--out-dir", "{tmp}/out"]),
+    ("predict-path", ["predict", "--checkpoint", "{checkpoint}", "--out-dir", "{tmp}/out", "{tmp}/cut.pgm"]),
+    ("manifest-entry", ["predict", "--checkpoint", "{checkpoint}", "--data", "{tmp}/manifest.tsv", "--out-dir",
+                        "{tmp}/out"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [case[1] for case in TRUNCATED_PGM_CASES], ids=[case[0] for case in TRUNCATED_PGM_CASES]
+)
+def test_truncated_pgm_exits_2_naming_its_file(workspace, tmp_path, capsys, argv):
+    write_pgm(np.zeros((111, 111)), tmp_path / "cut.pgm")
+    data = (tmp_path / "cut.pgm").read_bytes()
+    header = len(b"P5\n111 111\n255\n")
+    (tmp_path / "cut.pgm").write_bytes(data[: header + 3])
+    (tmp_path / "manifest.tsv").write_text("#wellqc-manifest v1 num_classes=2\ncut.pgm\t0\treal\tnone\n")
+    (tmp_path / "input.json").write_text(json.dumps(TILE_GRID))
+    code, lines = run_cli(argv, capsys, tmp=tmp_path, **workspace)
+    assert code == 2
+    assert lines == [
+        f"error: FormatError: {tmp_path / 'cut.pgm'}: truncated raster: expected 12321 bytes, found 3 "
+        f"(byte offset {header + 3})"
+    ]
 
 
 def test_non_integer_manifest_label_exits_2_with_its_offset(workspace, tmp_path, capsys):

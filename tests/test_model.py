@@ -175,6 +175,59 @@ class TestWholeModelGradient:
             assert grads[key].shape == toy_model.params[key].shape
 
 
+def conv_stage_spec(window, stride):
+    """Two conv -> ReLU -> pool stages at (window, stride), then toy_spec's Dense -> ReLU -> Dropout head."""
+    return ArchitectureSpec(
+        input_shape=(13, 13, 1),
+        layers=(
+            LayerSpec("Conv2D", out_channels=4, kernel_size=3),
+            LayerSpec("ReLU"),
+            LayerSpec("MaxPool2D", window=window, stride=stride),
+            LayerSpec("Conv2D", out_channels=3, kernel_size=2),
+            LayerSpec("ReLU"),
+            LayerSpec("MaxPool2D", window=window, stride=stride),
+            LayerSpec("Flatten"),
+            LayerSpec("Dense", units=8),
+            LayerSpec("ReLU"),
+            LayerSpec("Dropout"),
+            LayerSpec("Dense", units=2),
+            LayerSpec("Softmax"),
+        ),
+    )
+
+
+class TestExecutionPlan:
+    """Pool before ReLU against the layers run in their written order."""
+
+    def test_only_a_relu_before_a_pool_moves(self):
+        model = init_model(conv_stage_spec(2, 2), np.random.default_rng(0))
+        assert model.execution_order == [0, 2, 1, 3, 5, 4, 6, 7, 8, 9, 10, 11]
+        assert init_model(toy_spec(), np.random.default_rng(0)).execution_order == [0, 2, 1, 3, 4, 5, 6, 7, 8]
+
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 2), (2, 1)])
+    def test_matches_the_written_order(self, monkeypatch, window, stride):
+        model = init_model(conv_stage_spec(window, stride), np.random.default_rng(21))
+        model.dropout_rate = 0.2
+        rng = np.random.default_rng(22)
+        batch = rng.standard_normal((4, 13, 13, 1)).astype(np.float32)
+        labels = np.array([0, 1, 1, 0])
+
+        def forward_backward():
+            probs, cache = model_forward(model, batch, rng=np.random.default_rng(23))
+            return probs, cache, model_backward(model, cache, labels)
+
+        probs, cache, grads = forward_backward()
+        with monkeypatch.context() as m:
+            m.setattr(Model, "execution_order", property(lambda self: list(range(len(self.spec.layers)))))
+            want_probs, _, want_grads = forward_backward()
+        assert probs.tobytes() == want_probs.tobytes()
+        assert grads.keys() == want_grads.keys()
+        for key in grads:
+            assert np.array_equal(grads[key], want_grads[key]), key  # the sign of a zero may differ
+        for relu, pool in ((1, 2), (4, 5)):
+            assert cache[relu][0] is cache[pool][1]  # ReLU caches the pooled values, not a full-size copy
+
+
 class TestInit:
     def test_param_shapes_follow_spec(self):
         model = init_model(default_architecture(), np.random.default_rng(0))

@@ -252,6 +252,23 @@ def maxpool_oracle(x, window, stride, g):
     return out, col2im_oracle(gwin.reshape(cols.shape), x.shape, stride)
 
 
+def first_max_backward_oracle(x, out, window, stride, g):
+    """The scatter-add pool backward: each gradient times its first-maximum mask, summed onto zeros.
+
+    A window's cells are visited in row-major order; the first that equals the
+    output takes the gradient and the others take gradient * 0.
+    """
+    cols = im2col_oracle(x, window, window, stride)
+    unrouted = np.ones(out.shape, dtype=bool)
+    gwin = np.empty(cols.shape, dtype=g.dtype)
+    for dy in range(window):
+        for dx in range(window):
+            hit = (cols[:, :, :, dy, dx, :] == out) & unrouted
+            unrouted &= ~hit
+            gwin[:, :, :, dy, dx, :] = g * hit
+    return col2im_oracle(gwin, x.shape, stride)
+
+
 def assert_same_bits(actual, expected):
     assert actual.dtype == expected.dtype and actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()
@@ -280,6 +297,36 @@ class TestKernelsMatchLoopOracles:
         assert_same_bits(out, want_out)
         assert_same_bits(ops.maxpool2d_backward(g, (x, out), x.shape, window, stride), want_gx)
 
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 3), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("side", [(109, 109), (7, 9)])
+    def test_maxpool_backward_with_signed_zero_and_non_finite_gradients(self, side, window, stride):
+        rng = np.random.default_rng(18)
+        x = ops.relu(rng.standard_normal((2, *side, 3)).astype(np.float32))  # many zero ties
+        x[0, 1, 1, 0] = np.nan  # a window with no maximum
+        x[1, :2, :2, 1] = -0.0  # a tie of -0 with the +0 around it
+        out = ops.maxpool2d_forward(x, window, stride)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        g.reshape(-1)[rng.choice(g.size, size=(4, 5), replace=False)] = [[-0.0], [np.nan], [np.inf], [-np.inf]]
+        with np.errstate(invalid="ignore"):  # inf * 0, and inf + -inf where windows overlap
+            got = ops.maxpool2d_backward(g, (x, out), x.shape, window, stride)
+            want = first_max_backward_oracle(x, out, window, stride, g)
+        assert_same_bits(got, want)
+
+    def test_non_overlapping_pool_backward_does_not_scatter(self, monkeypatch):
+        def no_scatter(*args):
+            raise AssertionError("_scatter_add called")
+
+        monkeypatch.setattr(ops, "_scatter_add", no_scatter)
+        x = np.random.default_rng(19).standard_normal((2, 7, 9, 3)).astype(np.float32)
+        for window in (2, 3):
+            out = ops.maxpool2d_forward(x, window)
+            g = np.ones(out.shape, np.float32)
+            assert_same_bits(ops.maxpool2d_backward(g, (x, out), x.shape, window),
+                             first_max_backward_oracle(x, out, window, window, g))
+        out = ops.maxpool2d_forward(x, 2, 1)
+        with pytest.raises(AssertionError, match="_scatter_add called"):
+            ops.maxpool2d_backward(np.ones(out.shape, np.float32), (x, out), x.shape, 2, 1)
+
     def test_odd_side_pools_to_floor(self):
         x = np.zeros((1, 109, 109, 1), dtype=np.float32)
         assert ops.maxpool2d_forward(x, 2, 2).shape == (1, 54, 54, 1)
@@ -303,6 +350,15 @@ class TestKernelsMatchLoopOracles:
         # 2*68*68 = 9,248 output rows, more than numpy's 8,192-element iterator buffer
         for cout in (4, 1):
             self.check_conv((2, 70, 70, cin), (3, 3), 1, cout)
+
+    @pytest.mark.parametrize("cout", [1, 8, 16])
+    def test_conv_bias_is_added_to_the_gemm_result(self, cout):
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((2, 11, 15, 3)).astype(np.float32)  # stride 2: OW = 7
+        w = rng.standard_normal((3, 3, 3, cout)).astype(np.float32)
+        b = rng.standard_normal(cout).astype(np.float32)
+        want = (ops._im2col(x, 3, 3, 2) @ w.reshape(-1, cout) + b).reshape(2, 5, 7, cout)
+        assert_same_bits(ops.conv2d_forward(x, w, b, 2), want)
 
     @staticmethod
     def check_conv(x_shape, kernel, stride, cout):
