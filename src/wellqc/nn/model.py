@@ -13,6 +13,18 @@ only the pooled elements (a quarter at 2x2) and the cache holds no full-size
 ReLU output. The backward pass walks that order in reverse; its gradients
 equal the written order's, up to the sign of a zero. The spec, the config and
 the layer names stay as written.
+
+Inference (``predict_probs``) walks the images in 64-image blocks. A model
+with a Conv2D layer forwards each block as 16-image slices, a shorter
+remainder joined to the slice before it, on the task runner
+(``wellqc.parallel``) with one worker per OpenBLAS thread in force; the
+runner splits the CPUs among the workers' BLAS threads, one each when there
+are at least as many slices as CPUs. Cut this way, every row keeps
+the bits of one forward of its whole block. A one-image block stays on the
+calling thread: its dense product is a GEMV, whose bits follow the BLAS
+thread count. The loss is still one mean per 64-image block. Dense-only
+models run each block whole and serially, because their wide products change
+bits with the row count and the BLAS thread count.
 """
 
 import math
@@ -23,9 +35,11 @@ import numpy as np
 from wellqc.errors import EmptyEvaluation, ShapeError
 from wellqc.nn import ops
 from wellqc.nn.arch import ArchitectureSpec
+from wellqc.parallel import blas_count, run_tasks
 
 TRAIN = "train"
 INFER = "infer"
+SLICE = 16  # images per inference slice
 
 
 def _layer_names(spec: ArchitectureSpec) -> list[str]:
@@ -217,24 +231,48 @@ def model_backward(model: Model, cache, labels) -> dict[str, np.ndarray]:
     return grads
 
 
+def _slices(start: int, stop: int) -> list[tuple[int, int]]:
+    """[start, stop) cut every SLICE images; a remainder shorter than SLICE joins the slice before it."""
+    edges = [start + SLICE * k for k in range(max(1, (stop - start) // SLICE))]
+    return list(zip(edges, edges[1:] + [stop]))
+
+
 def predict_probs(model: Model, images, labels=None, batch_size: int = 64):
     """Class probabilities for a stack of images, evaluated in infer mode.
 
-    This is the one batched inference loop. With ``labels`` it returns
-    (probabilities, mean cross-entropy), the mean taken as the batch-size
-    weighted sum of each batch's fused log-softmax loss; zero images then
+    This is the one batched inference loop. It walks the images in blocks of
+    ``batch_size``. A model with a Conv2D layer forwards each block of two
+    or more images as SLICE-image slices (``_slices``) on the task runner,
+    with as many workers as OpenBLAS has threads in force (1 when its
+    control is not found, so the slices run serially). A one-image block,
+    and every block of a model without a Conv2D layer, is forwarded whole on
+    the calling thread at the BLAS count in force. Each row is bit-identical
+    to one model_forward of its block; the module docstring says why.
+
+    With ``labels`` it returns (probabilities, mean cross-entropy). Each
+    block's loss is taken from its concatenated log-probabilities, and the
+    mean is the block-size weighted sum of those losses; zero images then
     have no mean and raise EmptyEvaluation.
     """
     frozen = Model(model.spec, model.params, INFER)
     n = len(images)
     if n == 0 and labels is not None:
         raise EmptyEvaluation("cannot compute the mean cross-entropy of zero images")
-    chunks, total_ce = [], 0.0
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
+
+    def forward(start, stop):
         probs, cache = model_forward(frozen, images[start:stop])
-        chunks.append(probs)
+        return probs, cache[-1][1]
+
+    blocks = [(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
+    conv = any(layer.kind == "Conv2D" for layer in model.spec.layers)
+    plans = [_slices(start, stop) if conv and stop - start > 1 else [] for start, stop in blocks]
+    pooled = iter(run_tasks(forward, [s for plan in plans for s in plan], blas_count()))
+    chunks, total_ce = [], 0.0
+    for (start, stop), plan in zip(blocks, plans):
+        parts = [next(pooled) for _ in plan] if plan else [forward(start, stop)]
+        chunks += [probs for probs, _ in parts]
         if labels is not None:
-            total_ce += model_loss(cache, labels[start:stop]) * (stop - start)
+            log_probs = np.concatenate([lp for _, lp in parts])
+            total_ce += ops.sparse_ce_from_log_probs(log_probs, labels[start:stop]) * (stop - start)
     probs = np.concatenate(chunks, axis=0) if chunks else np.empty((0, model.spec.num_classes), model.dtype)
     return probs if labels is None else (probs, total_ce / n)

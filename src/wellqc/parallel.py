@@ -1,0 +1,94 @@
+"""The task runner: independent tasks on one thread pool that shares OpenBLAS's threads.
+
+Grid cells, CV folds (``training.search``) and inference slices
+(``nn.model.predict_probs``) all run here. N > 1 workers share OpenBLAS's
+process-global thread count. It is set once around the pool to their share
+of the CPUs, never above its current value, logged, and restored
+afterwards, also on error. One worker leaves it untouched.
+
+A task that runs on a runner thread runs any runner call it makes serially,
+on its own thread: a grid cell's predictions open no second pool, and only
+the thread that opened the one pool ever enters ``blas_threads``.
+"""
+
+import ctypes
+import functools
+import logging
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+
+log = logging.getLogger(__name__)
+
+_runner_thread = threading.local()
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    try:
+        lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so"))))
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def blas_count() -> int:
+    """OpenBLAS's thread count in force, or 1 when its thread control is not found."""
+    control = _openblas()
+    return 1 if control is None else control[0]()
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Run the body with OpenBLAS on ``n`` threads, at least 1 and at most its current count.
+
+    The count is process-global: enter this once around a pool, not per worker.
+    """
+    control = _openblas()
+    if control is None:
+        log.debug("numpy's OpenBLAS thread control not found; the thread count is left as is")
+        yield
+        return
+    get, set_ = control
+    old = get()
+    set_(max(1, min(n, old)))
+    log.debug("OpenBLAS threads %d -> %d", old, get())
+    try:
+        yield
+    finally:
+        set_(old)
+
+
+def _cpu_count() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _mark_runner_thread():
+    _runner_thread.active = True
+
+
+def run_tasks(fn, tasks, jobs: int) -> list:
+    """``[fn(*task) for task in tasks]``, on up to ``jobs`` threads that share the CPUs' BLAS threads.
+
+    One task, one job, or a call from a task already on a runner thread runs
+    serially on the calling thread.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(tasks))
+    if workers <= 1 or getattr(_runner_thread, "active", False):
+        return [fn(*task) for task in tasks]
+    with (
+        blas_threads(max(1, _cpu_count() // workers)),
+        ThreadPoolExecutor(max_workers=workers, initializer=_mark_runner_thread) as pool,
+    ):
+        return list(pool.map(lambda task: fn(*task), tasks))

@@ -6,21 +6,15 @@ to one 32-bit integer (kind 0 = grid cell, kind 1 = CV fold). Tasks share
 nothing mutable, so running them serially or across N workers produces
 identical results.
 
-N > 1 workers run on one thread pool and share OpenBLAS's process-global
-thread count. It is set once around the pool to their share of the CPUs,
-never above its current value, logged, and restored afterwards, also on
-error. Results do not depend on it. One worker leaves it untouched.
+Cells and folds run on the task runner in ``wellqc.parallel``: N > 1 jobs
+share one thread pool and OpenBLAS's process-global thread count, set to
+their share of the CPUs around the pool. Results do not depend on it. A
+cell's or fold's own predictions run serially on its thread.
 """
 
-import ctypes
-import functools
 import itertools
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +22,7 @@ from wellqc.errors import NonFiniteGradient, WellQcError
 from wellqc.data.manifest import load_examples
 from wellqc.data.splits import kfold_split
 from wellqc.metrics import evaluate_checkpoint
+from wellqc.parallel import run_tasks
 from wellqc.training.config import RunConfig
 from wellqc.training.loop import train
 
@@ -35,56 +30,6 @@ log = logging.getLogger(__name__)
 
 _KIND_GRID_CELL = 0
 _KIND_CV_FOLD = 1
-
-
-@functools.cache
-def _openblas():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    try:
-        lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so"))))
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (StopIteration, OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-@contextmanager
-def blas_threads(n: int):
-    """Run the body with OpenBLAS on ``n`` threads, at least 1 and at most its current count.
-
-    The count is process-global: enter this once around a pool, not per worker.
-    """
-    control = _openblas()
-    if control is None:
-        log.debug("numpy's OpenBLAS thread control not found; the thread count is left as is")
-        yield
-        return
-    get, set_ = control
-    old = get()
-    set_(max(1, min(n, old)))
-    log.debug("OpenBLAS threads %d -> %d", old, get())
-    try:
-        yield
-    finally:
-        set_(old)
-
-
-def _cpu_count() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _run_tasks(fn, tasks, jobs: int) -> list:
-    """``[fn(*task) for task in tasks]``, on up to ``jobs`` threads that share the CPUs' BLAS threads."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
-        return [fn(*task) for task in tasks]
-    with blas_threads(max(1, _cpu_count() // workers)), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda task: fn(*task), tasks))
 
 
 def derive_seed(master_seed: int, kind: int, index: int) -> int:
@@ -156,7 +101,7 @@ def grid_search(grid: GridSpec, base_config: RunConfig, train_set, val_set, jobs
     """
     cells = grid.cells(base_config.hyperparams)
     tasks = [(i, values, base_config, train_set, val_set) for i, values in enumerate(cells)]
-    results = _run_tasks(_run_cell, tasks, jobs)
+    results = run_tasks(_run_cell, tasks, jobs)
 
     def rank_key(r: CellResult):
         if r.failed:
@@ -233,7 +178,7 @@ def cross_validate(config: RunConfig, manifest, k: int, jobs: int = 1) -> CvRepo
         (i, config, corpus, [row[e] for e in tr.entries], [row[e] for e in va.entries])
         for i, (tr, va) in enumerate(pairs)
     ]
-    folds = _run_tasks(_run_fold, tasks, jobs)
+    folds = run_tasks(_run_fold, tasks, jobs)
 
     mean: dict[str, float] = {}
     std: dict[str, float] = {}

@@ -1,11 +1,15 @@
 """Whole-model contracts: forward/backward composition and determinism."""
 
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from wellqc import parallel
 from wellqc.errors import EmptyEvaluation, ShapeError
-from wellqc.nn.arch import ArchitectureSpec, LayerSpec, default_architecture
+from wellqc.nn import model as nn_model
+from wellqc.nn.arch import ArchitectureSpec, LayerSpec, default_architecture, logistic_architecture
 from wellqc.nn.model import (
     INFER,
     TRAIN,
@@ -277,3 +281,79 @@ class TestPredictProbs:
     def test_zero_images_with_labels_have_no_mean_loss(self, toy_model):
         with pytest.raises(EmptyEvaluation):
             predict_probs(toy_model, np.empty((0, 12, 12, 1), dtype=np.float32), np.empty(0, dtype=np.int64))
+
+
+SLICED_SIZES = [1, 2, 15, 16, 17, 19, 33, 63, 64, 65, 66, 81, 130]
+
+
+@pytest.fixture(scope="module")
+def crops():
+    rng = np.random.default_rng(31)
+    return rng.random((130, 111, 111, 1), dtype=np.float32), rng.integers(0, 2, 130)
+
+
+def one_forward_per_block(model, images, labels):
+    """(probabilities, mean CE) from one model_forward per 64-image block, on the calling thread."""
+    chunks, total_ce = [], 0.0
+    for start in range(0, len(images), 64):
+        probs, cache = model_forward(model, images[start:start + 64])
+        chunks.append(probs)
+        total_ce += model_loss(cache, labels[start:start + 64]) * len(probs)
+    return np.concatenate(chunks), total_ce / len(images)
+
+
+@pytest.fixture
+def recorded_forwards(monkeypatch):
+    """(thread, batch size) of every model_forward that predict_probs makes."""
+    seen = []
+    real = nn_model.model_forward
+
+    def recording(model, batch, rng=None):
+        seen.append((threading.current_thread(), len(batch)))
+        return real(model, batch, rng)
+
+    monkeypatch.setattr(nn_model, "model_forward", recording)
+    return seen
+
+
+class TestSlicedInference:
+    """Conv models forward 16-image slices on the task runner; dense-only models stay serial."""
+
+    @pytest.mark.parametrize("budget", [2, 1])
+    @pytest.mark.parametrize("architecture", [default_architecture, logistic_architecture])
+    def test_bits_match_one_forward_per_block(self, monkeypatch, crops, architecture, budget):
+        model = init_model(architecture(), np.random.default_rng(32), mode=INFER)
+        monkeypatch.setattr(nn_model, "blas_count", lambda: budget)
+        images, labels = crops
+        for n in SLICED_SIZES:
+            want_probs, want_ce = one_forward_per_block(model, images[:n], labels[:n])
+            probs, ce = predict_probs(model, images[:n], labels[:n])
+            assert probs.tobytes() == want_probs.tobytes(), n
+            assert ce == want_ce, n
+
+    @pytest.mark.parametrize("serial", ["budget 1", "no OpenBLAS control"])
+    def test_serial_budget_runs_every_slice_on_the_calling_thread(
+        self, monkeypatch, toy_model, recorded_forwards, serial
+    ):
+        if serial == "budget 1":
+            monkeypatch.setattr(nn_model, "blas_count", lambda: 1)
+        else:
+            monkeypatch.setattr(parallel, "_openblas", lambda: None)
+        predict_probs(toy_model, np.zeros((130, 12, 12, 1), dtype=np.float32))
+        assert recorded_forwards == [(threading.main_thread(), size) for size in [16] * 8 + [2]]
+
+    def test_workers_take_the_slices_and_the_caller_a_one_image_block(
+        self, monkeypatch, toy_model, recorded_forwards
+    ):
+        monkeypatch.setattr(nn_model, "blas_count", lambda: 2)
+        predict_probs(toy_model, np.zeros((129, 12, 12, 1), dtype=np.float32))
+        *pooled, last = recorded_forwards
+        assert last == (threading.main_thread(), 1)
+        assert sorted(size for _, size in pooled) == [16] * 8
+        assert threading.main_thread() not in {thread for thread, _ in pooled}
+
+    def test_dense_only_model_runs_whole_blocks_on_the_calling_thread(self, monkeypatch, recorded_forwards):
+        model = init_model(logistic_architecture(input_shape=(12, 12, 1)), np.random.default_rng(0), mode=INFER)
+        monkeypatch.setattr(nn_model, "blas_count", lambda: 2)
+        predict_probs(model, np.zeros((130, 12, 12, 1), dtype=np.float32))
+        assert recorded_forwards == [(threading.main_thread(), size) for size in (64, 64, 2)]

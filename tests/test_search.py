@@ -1,22 +1,25 @@
 """The task runner behind grid search and cross-validation, its BLAS thread budget, and corpus decoding in CV."""
 
 import threading
+from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from wellqc import parallel
 from wellqc.cli import main
 from wellqc.data import manifest
 from wellqc.data.pgm import read_pgm
+from wellqc.nn import model as nn_model
+from wellqc.nn.arch import default_architecture
+from wellqc.nn.model import INFER, init_model, predict_probs
+from wellqc.parallel import blas_count, blas_threads
 from wellqc.training import search
 from wellqc.training.config import default_run_config
-from wellqc.training.search import GridSpec, blas_threads, cross_validate, grid_search
+from wellqc.training.search import GridSpec, cross_validate, grid_search
 
-needs_openblas = pytest.mark.skipif(search._openblas() is None, reason="numpy's bundled OpenBLAS not found")
-
-
-def blas_count() -> int:
-    return search._openblas()[0]()
+needs_openblas = pytest.mark.skipif(parallel._openblas() is None, reason="numpy's bundled OpenBLAS not found")
 
 
 class FakeBlas:
@@ -38,7 +41,7 @@ def recording_train(monkeypatch):
     seen = []
 
     def fake_train(config, train_set, val_set):
-        control = search._openblas()
+        control = parallel._openblas()
         seen.append((threading.current_thread(), control[0]() if control else None))
         return SimpleNamespace(best_epoch=1, history=[SimpleNamespace(val_loss=0.5, val_accuracy=0.5)])
 
@@ -92,7 +95,7 @@ class TestBlasThreads:
 
 
 def test_missing_library_runs_the_body_unchanged(monkeypatch, recording_train):
-    monkeypatch.setattr(search, "_openblas", lambda: None)
+    monkeypatch.setattr(parallel, "_openblas", lambda: None)
     ran = []
     with blas_threads(1):
         ran.append(True)
@@ -110,7 +113,7 @@ class TestRunnerBudget:
         assert blas_count() == start
 
     def pooled(self, start):
-        return min(start, max(1, search._cpu_count() // 2))
+        return min(start, max(1, parallel._cpu_count() // 2))
 
     def test_grid_search_jobs_2_shares_the_cpus(self, start, recording_train):
         run_grid(jobs=2)
@@ -138,11 +141,46 @@ class TestRunnerBudget:
         with pytest.raises(RuntimeError, match="task"):
             run_grid(jobs=2)
 
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_predictions_in_grid_cells_open_no_nested_pool(self, monkeypatch, raises):
+        conv = init_model(default_architecture(), np.random.default_rng(0), mode=INFER)
+        images = np.random.default_rng(1).random((40, 111, 111, 1), dtype=np.float32)
+        cells, forwards, entered = [], [], []
+        real_forward, real_blas_threads = nn_model.model_forward, parallel.blas_threads
+
+        def recording_forward(model, batch, rng=None):
+            forwards.append(threading.current_thread())
+            return real_forward(model, batch, rng)
+
+        def recording_blas_threads(n):
+            entered.append(threading.current_thread())
+            return real_blas_threads(n)
+
+        def predicting_train(config, train_set, val_set):
+            cells.append(threading.current_thread())
+            predict_probs(conv, images)
+            if raises:
+                raise RuntimeError("task")
+            return SimpleNamespace(best_epoch=1, history=[SimpleNamespace(val_loss=0.5, val_accuracy=0.5)])
+
+        monkeypatch.setattr(nn_model, "blas_count", lambda: 2)  # as if each cell had two BLAS threads
+        monkeypatch.setattr(nn_model, "model_forward", recording_forward)
+        monkeypatch.setattr(parallel, "blas_threads", recording_blas_threads)
+        monkeypatch.setattr(search, "train", predicting_train)
+        if raises:
+            with pytest.raises(RuntimeError, match="task"):
+                run_grid(jobs=2)
+        else:
+            run_grid(jobs=2)
+        assert len(cells) == 2 and threading.main_thread() not in cells
+        assert Counter(forwards) == Counter(cells * 2)  # two slices of 40 images, each on its cell's thread
+        assert entered == [threading.main_thread()]
+
 
 def test_budget_is_sized_by_the_task_count(monkeypatch, recording_train):
     fake = FakeBlas(16)
-    monkeypatch.setattr(search, "_openblas", lambda: (fake.get, fake.set))
-    monkeypatch.setattr(search, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(parallel, "_openblas", lambda: (fake.get, fake.set))
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 8)
     run_grid(jobs=8, cells=2)
     assert [count for _, count in recording_train] == [4, 4]
     assert fake.count == 16
@@ -150,7 +188,7 @@ def test_budget_is_sized_by_the_task_count(monkeypatch, recording_train):
 
 def test_one_task_runs_serially_whatever_jobs_says(monkeypatch, recording_train):
     fake = FakeBlas(16)
-    monkeypatch.setattr(search, "_openblas", lambda: (fake.get, fake.set))
+    monkeypatch.setattr(parallel, "_openblas", lambda: (fake.get, fake.set))
     run_grid(jobs=4, cells=1)
     assert recording_train == [(threading.main_thread(), 16)]
 
