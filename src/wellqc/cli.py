@@ -19,6 +19,7 @@ manifest defects are format errors and exit 2.
 """
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -70,19 +71,13 @@ def _resolve_config(args):
     return resolve_run_config(args.config, overrides)
 
 
-def _write_json(path, data, sort_keys=False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=sort_keys)
-        fh.write("\n")
-
-
 def _prepare_out_dir(args, config=None) -> Path:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if config is not None:
         resolved = configio.dump(config)
         log.info("resolved config: %s", json.dumps(resolved, sort_keys=True))
-        _write_json(out_dir / "resolved_config.json", resolved, sort_keys=True)
+        configio.write_json(out_dir / "resolved_config.json", resolved, sort_keys=True)
     return out_dir
 
 
@@ -154,8 +149,8 @@ def cmd_grid_search(args) -> int:
     train_set, val_set = _load_split(args, config)
     results, best_config = grid_search(grid, config, train_set, val_set, jobs=args.jobs)
     (out_dir / "grid_results.csv").write_text(grid_table_csv(results), encoding="utf-8")
-    _write_json(out_dir / "grid_results.json", [asdict(r) for r in results])
-    _write_json(out_dir / "best_config.json", configio.dump(best_config))
+    configio.write_json(out_dir / "grid_results.json", [asdict(r) for r in results])
+    configio.write_json(out_dir / "best_config.json", configio.dump(best_config))
     top = results[0]
     print(
         f"grid-search: {len(results)} cells, best cell {top.index} "
@@ -171,7 +166,7 @@ def cmd_cv(args) -> int:
     out_dir = _prepare_out_dir(args, config)
     manifest = DatasetManifest.load(args.data)
     report = cross_validate(config, manifest, args.k, jobs=args.jobs)
-    _write_json(out_dir / "cv_report.json", asdict(report))
+    configio.write_json(out_dir / "cv_report.json", asdict(report))
     acc = report.mean.get("accuracy", float("nan"))
     std = report.std.get("accuracy", float("nan"))
     print(f"cv: {args.k} folds, accuracy {acc:.4f} +/- {std:.4f} -> {out_dir / 'cv_report.json'}")
@@ -240,15 +235,17 @@ def cmd_grad_check(args) -> int:
         report = grad_check(model, batch, labels, tolerance=args.tolerance)
     except GradCheckFailure as exc:
         report = exc.report
-        _write_json(out_dir / "grad_check.json", report.to_dict())
+        configio.write_json(out_dir / "grad_check.json", report.to_dict())
         print(f"grad-check: FAILED max_rel_err={report.max_rel_err:.3e} -> {out_dir / 'grad_check.json'}")
         raise
-    _write_json(out_dir / "grad_check.json", report.to_dict())
+    configio.write_json(out_dir / "grad_check.json", report.to_dict())
     print(f"grad-check: ok, max_rel_err={report.max_rel_err:.3e} -> {out_dir / 'grad_check.json'}")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="wellqc",
         description="Defect-detection QC pipeline for microwell scanner images.",

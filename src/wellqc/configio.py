@@ -15,6 +15,7 @@ out, tuples as arrays.
 """
 
 import dataclasses
+import functools
 import json
 import math
 import types
@@ -23,6 +24,7 @@ import typing
 from wellqc.errors import ConfigError
 
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def load(cls, data, where: str = ""):
@@ -33,7 +35,7 @@ def load(cls, data, where: str = ""):
     unknown = sorted(set(data) - {f.name for f in fields})
     if unknown:
         raise ConfigError(f"{where or cls.__name__}: unknown key(s) {', '.join(map(repr, unknown))}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     kwargs = {}
     for f in fields:
         path = f"{where}.{f.name}" if where else f.name
@@ -74,6 +76,13 @@ def read_json(path):
             return json.load(fh)
         except ValueError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+
+
+def write_json(path, data, sort_keys=False) -> None:
+    """Write ``data`` as two-space-indented JSON and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
 
 
 def _decode(tp, value, path: str):

@@ -5,11 +5,15 @@ on write, so a read/write cycle at the same maxval is lossless. Samples are
 one byte for maxval <= 255 and big-endian two bytes above that.
 """
 
+import re
+
 import numpy as np
 
 from wellqc.errors import FormatError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+# Separators (whitespace, and '#' comments that run to the end of their line), then one token.
+_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*\n?)*([^ \t\n\r\x0b\x0c#]*)")
 
 
 class _Tokenizer:
@@ -20,27 +24,12 @@ class _Tokenizer:
         self.path = path
         self.pos = 0
 
-    def skip_separators(self):
-        while self.pos < len(self.data):
-            ch = self.data[self.pos : self.pos + 1]
-            if ch in (b"#",):
-                nl = self.data.find(b"\n", self.pos)
-                self.pos = len(self.data) if nl < 0 else nl + 1
-            elif ch and ch in _WHITESPACE:
-                self.pos += 1
-            else:
-                break
-
     def token(self, what: str) -> bytes:
-        self.skip_separators()
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos : self.pos + 1] not in _WHITESPACE:
-            if self.data[self.pos : self.pos + 1] == b"#":
-                break
-            self.pos += 1
+        match = _TOKEN.match(self.data, self.pos)
+        start, self.pos = match.span(1)
         if self.pos == start:
             raise FormatError(f"{self.path}: expected {what}", offset=start)
-        return self.data[start : self.pos]
+        return match[1]
 
     def integer(self, what: str) -> int:
         start = self.pos

@@ -13,12 +13,12 @@ than 0.0 so degenerate evaluations stay visible; f1 is None when either is.
 """
 
 import csv
-import json
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from wellqc.configio import write_json
 from wellqc.errors import EmptyEvaluation, LabelError
 from wellqc.nn.model import predict_probs
 
@@ -185,9 +185,7 @@ def report_text(report: MetricsReport) -> str:
 def emit_report(report: MetricsReport, path, format: str = "json") -> None:
     """Write the report: canonical JSON, per-example CSV, or summary text."""
     if format == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, report.to_dict(), sort_keys=True)
     elif format == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

@@ -7,8 +7,9 @@ of the CPUs, never above its current value, logged, and restored
 afterwards, also on error. One worker leaves it untouched.
 
 A task that runs on a runner thread runs any runner call it makes serially,
-on its own thread: a grid cell's predictions open no second pool, and only
-the thread that opened the one pool ever enters ``blas_threads``.
+on its own thread: a grid cell's predictions open no second pool. Only the
+thread that opened the one pool sets the count: ``blas_threads`` on a runner
+thread leaves it as is.
 """
 
 import ctypes
@@ -52,10 +53,11 @@ def blas_threads(n: int):
     """Run the body with OpenBLAS on ``n`` threads, at least 1 and at most its current count.
 
     The count is process-global: enter this once around a pool, not per worker.
+    On a runner thread the body runs at the count the pool's opener set.
     """
-    control = _openblas()
+    control = None if getattr(_runner_thread, "active", False) else _openblas()
     if control is None:
-        log.debug("numpy's OpenBLAS thread control not found; the thread count is left as is")
+        log.debug("on a runner thread, or numpy's OpenBLAS thread control not found; the thread count is left as is")
         yield
         return
     get, set_ = control

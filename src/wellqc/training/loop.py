@@ -5,6 +5,10 @@ the L2 penalty); the pure cross-entropy component is kept alongside it.
 Validation loss is pure cross-entropy, which is also what early stopping
 monitors by default.
 
+The batch loop runs OpenBLAS on one thread (on a runner thread, at its pool's
+count): conv2's weight gradient changes bits with the thread count at some odd
+batch sizes. Validation runs outside it, so ``predict_probs`` stays parallel.
+
 Epoch wall time is measured for the run log only: it is not part of an
 EpochRecord, so identically-configured runs serialize to identical bytes.
 """
@@ -19,6 +23,7 @@ from wellqc.errors import NonFiniteGradient
 from wellqc.nn.arch import logistic_architecture
 from wellqc.nn.model import TRAIN, Model, init_model, model_backward, model_forward, model_loss, predict_probs
 from wellqc.optim import adam_step, apply_l2, init_adam_state, l2_penalty
+from wellqc.parallel import blas_threads
 from wellqc.training.checkpoint import HISTORY_COLUMNS, Checkpoint, EpochRecord
 from wellqc.training.config import RunConfig
 
@@ -85,7 +90,7 @@ def train(config: RunConfig, train_set, val_set):
         ce_sum = 0.0
         obj_sum = 0.0
         correct = 0
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        with blas_threads(1), np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for batch_index, (start, stop) in enumerate(batch_slices(n, hp.batch_size)):
                 idx = order[start:stop]
                 images = train_set.images[idx]

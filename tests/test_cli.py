@@ -7,6 +7,7 @@ cross-validation must give the same results with one worker as with two.
 
 import csv
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -131,3 +132,26 @@ def test_predict_on_an_empty_manifest_writes_only_the_header(runs, tmp_path):
     call("predict", "--checkpoint", str(tmp_path / "checkpoint.bin"), "--data", str(tmp_path / "manifest.tsv"),
          "--out-dir", str(tmp_path / "out"))
     assert (tmp_path / "out" / "predictions.csv").read_text() == "id,predicted_label,prob_defective\n"
+
+
+def test_calls_in_one_process_share_no_parsed_values(tmp_path, monkeypatch):
+    """The parser is built once per process; each call's options must still be its own."""
+    monkeypatch.chdir(tmp_path)
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: levels.append(kwargs["level"]))
+    call("gen", "--seed", "7", "--ok", "4", "--ng", "4", "--out-dir", "corpus")
+    data = ["--data", "corpus/manifest.tsv", *ONE_EPOCH]
+    call("-v", "train", *data, "--out-dir", "first", "--set", "seed=5", "--set", "hyperparams.batch_size=4")
+    call("train", *data, "--out-dir", "second", "--set", "hyperparams.learning_rate=0.01")
+    first, second = (json.loads(Path(d, "resolved_config.json").read_text()) for d in ("first", "second"))
+    assert (first["seed"], first["hyperparams"]["batch_size"]) == (5, 4)
+    assert first["hyperparams"]["learning_rate"] != 0.01
+    assert (second["seed"], second["hyperparams"]["batch_size"]) != (5, 4)
+    assert second["hyperparams"]["learning_rate"] == 0.01
+
+    images = sorted(str(p) for p in Path("corpus").glob("*.pgm"))
+    call("predict", "--checkpoint", "first/checkpoint.bin", "--out-dir", "p1", *images[:3])
+    call("predict", "--checkpoint", "first/checkpoint.bin", "--out-dir", "p2", images[3])
+    ids = [[row["id"] for row in csv.DictReader(Path(d, "predictions.csv").read_text().splitlines())] for d in ("p1", "p2")]
+    assert ids == [images[:3], images[3:4]]
+    assert levels == [logging.INFO, logging.DEBUG] + [logging.INFO] * 3

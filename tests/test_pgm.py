@@ -1,11 +1,12 @@
-"""PGM format: round trips at both bit depths and malformed-input handling."""
+"""PGM format: round trips at both bit depths, malformed-input handling and the header tokenizer."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wellqc.errors import FormatError
-from wellqc.data.pgm import read_pgm, write_pgm
+from wellqc.data.pgm import _Tokenizer, read_pgm, write_pgm
 
 
 def quantized_image(rng, shape, maxval):
@@ -96,3 +97,92 @@ class TestMalformedInputs:
     def test_write_rejects_non_2d(self, tmp_path):
         with pytest.raises(FormatError):
             write_pgm(np.zeros((3, 3, 2)), tmp_path / "x.pgm")
+
+
+class ByteLoopTokenizer:
+    """The header tokenizer as it was before the one-regex scan: one byte at a time."""
+
+    WHITESPACE = b" \t\n\r\x0b\x0c"
+
+    def __init__(self, data: bytes, path):
+        self.data = data
+        self.path = path
+        self.pos = 0
+
+    def skip_separators(self):
+        while self.pos < len(self.data):
+            ch = self.data[self.pos : self.pos + 1]
+            if ch in (b"#",):
+                nl = self.data.find(b"\n", self.pos)
+                self.pos = len(self.data) if nl < 0 else nl + 1
+            elif ch and ch in self.WHITESPACE:
+                self.pos += 1
+            else:
+                break
+
+    def token(self, what: str) -> bytes:
+        self.skip_separators()
+        start = self.pos
+        while self.pos < len(self.data) and self.data[self.pos : self.pos + 1] not in self.WHITESPACE:
+            if self.data[self.pos : self.pos + 1] == b"#":
+                break
+            self.pos += 1
+        if self.pos == start:
+            raise FormatError(f"{self.path}: expected {what}", offset=start)
+        return self.data[start : self.pos]
+
+    def integer(self, what: str) -> int:
+        start = self.pos
+        tok = self.token(what)
+        try:
+            return int(tok)
+        except ValueError:
+            raise FormatError(f"{self.path}: expected integer {what}, got {tok!r}", offset=start) from None
+
+
+def scan_header(tokenizer_cls, data: bytes):
+    """(magic, width, height, maxval, offset after maxval), or the first FormatError's (text, offset)."""
+    tok = tokenizer_cls(data, "h.pgm")
+    try:
+        magic = tok.token("magic number")
+        return magic, tok.integer("width"), tok.integer("height"), tok.integer("maxval"), tok.pos
+    except FormatError as exc:
+        return str(exc), exc.offset
+
+
+COMMENT = st.tuples(st.binary(max_size=4), st.sampled_from([b"\n", b"\r\n", b""])).map(lambda c: b"#" + c[0] + c[1])
+SEPARATOR = st.one_of(st.sampled_from([bytes([c]) for c in b" \t\n\r\x0b\x0c"]), COMMENT)
+DIGITS = st.integers(0, 70000).map(lambda n: str(n).encode())
+TOKEN = st.one_of(DIGITS, DIGITS, st.sampled_from([b"P5", b"P2", b"", b"#", b"\x00", b"-1", b"+2", b"1_0", b"x", b"\xff"]))
+HEADERS = st.one_of(
+    st.lists(st.tuples(st.lists(SEPARATOR, max_size=3), TOKEN), max_size=6),
+    st.lists(st.tuples(st.lists(SEPARATOR, min_size=1, max_size=3), TOKEN), min_size=3, max_size=5).map(
+        lambda fields: [([], b"P5"), *fields]  # a magic number and three or more separated fields
+    ),
+).map(lambda fields: b"".join(b"".join(separators) + token for separators, token in fields))
+
+
+class TestTokenizerMatchesByteLoop:
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            (b"P5#c\n1 1\n255\n", (b"P5", 1, 1, 255, 12)),
+            (b"P5 1 1 # comment at EOF", ("h.pgm: expected maxval (byte offset 23)", 23)),
+            (b"P5\r\n4 5\r\n65535\r\n", (b"P5", 4, 5, 65535, 14)),
+            (b"P5\nfour 4\n255\n", ("h.pgm: expected integer width, got b'four' (byte offset 2)", 2)),
+        ],
+    )
+    def test_explicit_headers(self, data, expected):
+        assert scan_header(_Tokenizer, data) == scan_header(ByteLoopTokenizer, data) == expected
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=HEADERS)
+    def test_random_headers(self, data):
+        assert scan_header(_Tokenizer, data) == scan_header(ByteLoopTokenizer, data)
+
+    @pytest.mark.parametrize("header", [b"P5#c\n1 1\n255\n", b"P5\r\n1 1\r\n255\r", b"P5 1 1 255\t"])
+    def test_read_pgm_finds_the_raster_after_the_header(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + b"\x80")
+        pixels, maxval = read_pgm(path)
+        assert (pixels.shape, maxval, pixels[0, 0]) == ((1, 1), 255, np.float32(128) / np.float32(255))

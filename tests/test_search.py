@@ -193,6 +193,19 @@ def test_one_task_runs_serially_whatever_jobs_says(monkeypatch, recording_train)
     assert recording_train == [(threading.main_thread(), 16)]
 
 
+def test_blas_threads_on_a_runner_thread_keeps_the_pool_count(monkeypatch):
+    fake = FakeBlas(16)
+    monkeypatch.setattr(parallel, "_openblas", lambda: (fake.get, fake.set))
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 8)
+
+    def task():
+        with blas_threads(1):
+            return fake.count
+
+    assert parallel.run_tasks(task, [(), ()], jobs=2) == [4, 4]
+    assert fake.count == 16
+
+
 @pytest.mark.parametrize("jobs", [0, -2])
 def test_jobs_below_one_rejected(recording_train, jobs):
     with pytest.raises(ValueError, match="jobs must be >= 1"):

@@ -7,10 +7,13 @@ import numpy.testing as npt
 import pytest
 
 from wellqc import configio
-from wellqc.data.manifest import Dataset
+from wellqc.data.manifest import Dataset, load_examples
+from wellqc.data.splits import split_train_val
+from wellqc.data.synth import generate_synthetic
 from wellqc.errors import NonFiniteGradient
 from wellqc.nn import ops
 from wellqc.nn.model import init_model
+from wellqc.parallel import blas_count, blas_threads
 from wellqc.training.checkpoint import HISTORY_COLUMNS, EpochRecord
 from wellqc.training.config import EarlyStoppingConfig, default_run_config
 from wellqc.training.loop import (
@@ -170,6 +173,21 @@ class TestTrainLoop:
         config = small_config(epochs=1)
         r = train(config, train_set, val_set).history[0]
         assert r.train_loss > r.train_ce >= 0.0
+
+    @pytest.mark.skipif(blas_count() < 2, reason="OpenBLAS runs on fewer than two threads here")
+    def test_checkpoint_bits_do_not_follow_the_blas_thread_count(self, tmp_path):
+        corpus = generate_synthetic(seed=1, n_ok=48, n_ng=49, out_dir=tmp_path)
+        config = replace(small_config(epochs=3), seed=1, early_stopping=EarlyStoppingConfig(enabled=False))
+        train_set, val_set = map(load_examples, split_train_val(corpus, config.split_fraction, config.seed))
+        assert len(train_set) % config.hyperparams.batch_size == 13  # an odd last batch: conv2's weight GEMM
+
+        def checkpoint_bytes(name):
+            train(config, train_set, val_set).save(tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        with blas_threads(1):
+            one_thread = checkpoint_bytes("one_thread.bin")
+        assert checkpoint_bytes("default.bin") == one_thread
 
     def test_empty_sets_rejected(self, small_split):
         train_set, val_set = small_split
