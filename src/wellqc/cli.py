@@ -225,6 +225,7 @@ def _toy_architecture() -> ArchitectureSpec:
 
 
 def cmd_grad_check(args) -> int:
+    _check_at_least(args, "batch", 1)
     out_dir = _prepare_out_dir(args)
     arch = configio.load_file(ArchitectureSpec, args.arch) if args.arch else _toy_architecture()
     rng = np.random.default_rng(args.check_seed)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wellqc.errors import FormatError, InsufficientOriginals, LabelError
+from wellqc.errors import FormatError, LabelError
 from wellqc.data.augment import AUG_NONE, AUG_OPS, augment_pixels
 from wellqc.data.pgm import read_pgm
 from wellqc.data.wells import CROP_SIZE
@@ -124,42 +124,6 @@ def write_manifest(path, num_classes: int, records) -> None:
     lines = [f"#wellqc-manifest v{MANIFEST_VERSION} num_classes={num_classes}"]
     lines += [f"{p}\t{label}\t{origin}\t{aug}" for p, label, origin, aug in records]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def expand_dataset(manifest: DatasetManifest, target_per_class: int = 500) -> DatasetManifest:
-    """Augment each class up to ``target_per_class`` examples.
-
-    Works op-major in the fixed order hflip, vflip, rot180: all originals get
-    an hflip sibling before any gets a vflip one, so the result is a pure
-    function of (manifest order, target). Originals are the aug == "none"
-    entries. Classes already at or above target gain nothing.
-    """
-    by_class: dict[int, list[ManifestEntry]] = {c: [] for c in range(manifest.num_classes)}
-    for e in manifest.entries:
-        if e.aug == AUG_NONE:
-            by_class[e.label].append(e)
-    present = {(e.path, e.aug) for e in manifest.entries}
-
-    new_entries = list(manifest.entries)
-    for label in sorted(by_class):
-        originals = by_class[label]
-        have = sum(1 for e in manifest.entries if e.label == label)
-        needed = target_per_class - have
-        for op in AUG_OPS:
-            for e in originals:
-                if needed <= 0:
-                    break
-                if (e.path, op) in present:
-                    continue
-                new_entries.append(ManifestEntry(path=e.path, label=e.label, origin="augmented", aug=op))
-                present.add((e.path, op))
-                needed -= 1
-        if needed > 0:
-            raise InsufficientOriginals(
-                f"class {label}: {len(originals)} originals support at most "
-                f"{len(originals) * (1 + len(AUG_OPS))} examples, target is {target_per_class}"
-            )
-    return DatasetManifest(entries=new_entries, num_classes=manifest.num_classes, root=manifest.root)
 
 
 @dataclass

@@ -35,10 +35,6 @@ class GridOutOfBounds(WellQcError):
     """A tile-grid crop would fall outside the scan frame."""
 
 
-class InsufficientOriginals(WellQcError):
-    """Too few source images to reach the requested per-class count."""
-
-
 class EmptyClass(WellQcError):
     """A dataset split requires more examples of some class than exist."""
 

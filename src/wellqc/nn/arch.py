@@ -1,17 +1,138 @@
-"""Declarative network architecture: layer specs, validation, shape inference.
+"""Declarative network architecture: layer specs, the layer table, shape inference.
 
 An architecture is data, not code: an ordered list of layer specs plus the
 input shape, loaded from a JSON file by ``wellqc.configio`` so the shipped
 model can be edited without touching the package. The class count is the
 width of the Softmax head, so it is not stored.
+
+``KINDS`` holds one ``LayerKind`` record per layer kind, after Caffe's per-type
+``Layer`` (Jia et al. 2014): all the package knows about a kind. Spec checks,
+``infer_shapes`` and each per-layer step of ``wellqc.nn.model`` loop over it.
+Records look each kernel up as ``ops.<name>`` when they run, so a kernel
+replaced on ``ops`` (as the benchmark's tracer does) is the one that runs.
 """
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from wellqc.errors import ConfigError, ShapeError
-from wellqc.nn.ops import conv_output_hw
+from wellqc.nn import ops
 
-LAYER_KINDS = ("Conv2D", "ReLU", "MaxPool2D", "Flatten", "Dense", "Dropout", "Softmax")
+
+@dataclass(frozen=True)
+class LayerKind:
+    """What one layer kind means; ``layer`` is its LayerSpec and shapes exclude the batch axis.
+
+    out_shape(layer, in_shape) -> the output shape
+    param_shapes(layer, in_shape) -> the (W, b) shapes; None for a kind without parameters
+    forward(layer, params, x, model, rng) -> (out, cache entry); params is (W, b) or None
+    backward(layer, params, g, cache entry, model) -> (gx, (gW, gb) or None); None for
+        Softmax, which only the head may be and which differentiates jointly with the loss
+    """
+
+    short: str  # name stem: the kind's layers are <short>1, <short>2, ... in layer order
+    forward: Callable
+    backward: Callable | None
+    required: tuple[str, ...] = ()  # LayerSpec fields that must be set
+    in_rank: int | None = None  # rank of the input it accepts; None: any
+    out_shape: Callable = lambda layer, shape: shape
+    param_shapes: Callable | None = None
+
+
+_RANK_INPUT = {3: "(H, W, C)", 1: "a flat vector"}
+
+
+def _conv_shape(layer, shape):
+    k = layer.kernel_size
+    return (*ops.conv_output_hw(shape[0], shape[1], k, k, layer.effective_stride), layer.out_channels)
+
+
+def _conv_backward(layer, params, g, entry, model):
+    gx, gw, gb = ops.conv2d_backward(g, entry[0], params[0], layer.effective_stride)
+    return gx, (gw, gb)
+
+
+def _pool_shape(layer, shape):
+    win = layer.window
+    if win > shape[0] or win > shape[1]:
+        raise ShapeError(f"pooling window {win} exceeds input {shape[0]}x{shape[1]}")
+    return (*ops.conv_output_hw(shape[0], shape[1], win, win, layer.effective_stride), shape[2])
+
+
+def _pool_forward(layer, params, x, model, rng):
+    out = ops.maxpool2d_forward(x, layer.window, layer.effective_stride)
+    return out, (x, out)
+
+
+def _pool_backward(layer, params, g, entry, model):
+    return ops.maxpool2d_backward(g, entry, entry[0].shape, layer.window, layer.effective_stride), None
+
+
+def _dense_backward(layer, params, g, entry, model):
+    gx, gw, gb = ops.dense_backward(g, entry[0], params[0])
+    return gx, (gw, gb)
+
+
+def _dropout_forward(layer, params, x, model, rng):
+    out, mask = ops.dropout_forward(x, model.dropout_rate, rng, model.mode)
+    return out, (mask,)
+
+
+def _softmax_forward(layer, params, x, model, rng):
+    log_probs = ops.log_softmax(x)
+    out = ops.softmax(x)
+    return out, (out, log_probs)
+
+
+KINDS: dict[str, LayerKind] = {
+    "Conv2D": LayerKind(
+        short="conv",
+        required=("out_channels", "kernel_size"),
+        in_rank=3,
+        out_shape=_conv_shape,
+        param_shapes=lambda layer, shape: (
+            (layer.kernel_size, layer.kernel_size, shape[2], layer.out_channels), (layer.out_channels,)
+        ),
+        forward=lambda layer, params, x, model, rng: (ops.conv2d_forward(x, *params, layer.effective_stride), (x,)),
+        backward=_conv_backward,
+    ),
+    "ReLU": LayerKind(
+        short="relu",
+        forward=lambda layer, params, x, model, rng: (ops.relu(x), (x,)),
+        backward=lambda layer, params, g, entry, model: (ops.relu_backward(g, entry[0]), None),
+    ),
+    "MaxPool2D": LayerKind(
+        short="pool",
+        required=("window",),
+        in_rank=3,
+        out_shape=_pool_shape,
+        forward=_pool_forward,
+        backward=_pool_backward,
+    ),
+    "Flatten": LayerKind(
+        short="flatten",
+        out_shape=lambda layer, shape: (math.prod(shape),),
+        forward=lambda layer, params, x, model, rng: (ops.flatten(x), (x.shape,)),
+        backward=lambda layer, params, g, entry, model: (ops.flatten_backward(g, entry[0]), None),
+    ),
+    "Dense": LayerKind(
+        short="dense",
+        required=("units",),
+        in_rank=1,
+        out_shape=lambda layer, shape: (layer.units,),
+        param_shapes=lambda layer, shape: ((shape[0], layer.units), (layer.units,)),
+        forward=lambda layer, params, x, model, rng: (ops.dense_forward(x, *params), (x,)),
+        backward=_dense_backward,
+    ),
+    "Dropout": LayerKind(
+        short="dropout",
+        forward=_dropout_forward,
+        backward=lambda layer, params, g, entry, model: (ops.dropout_backward(g, entry[0], model.dropout_rate), None),
+    ),
+    "Softmax": LayerKind(short="softmax", in_rank=1, forward=_softmax_forward, backward=None),
+}
+LAYER_KINDS = tuple(KINDS)
 
 
 @dataclass(frozen=True)
@@ -33,14 +154,9 @@ class LayerSpec:
     units: int | None = None
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown layer kind {self.kind!r}; expected one of {LAYER_KINDS}")
-        required = {
-            "Conv2D": ("out_channels", "kernel_size"),
-            "MaxPool2D": ("window",),
-            "Dense": ("units",),
-        }.get(self.kind, ())
-        for name in required:
+        for name in KINDS[self.kind].required:
             if getattr(self, name) is None:
                 raise ConfigError(f"{self.kind} layer requires {name!r}")
         for name in ("out_channels", "kernel_size", "window", "units"):
@@ -81,12 +197,14 @@ class ArchitectureSpec:
     def validate(self) -> list[tuple[int, ...]]:
         """Run shape inference end-to-end and check the classifier head.
 
-        The last layer must be Softmax over a vector of at least 2 classes.
-        Returns the per-layer output shapes.
+        The last layer, and only it, must be Softmax over a vector of at
+        least 2 classes. Returns the per-layer output shapes.
         """
         shapes = infer_shapes(self)
         if not self.layers or self.layers[-1].kind != "Softmax":
             raise ShapeError("architecture must end with a Softmax layer")
+        if any(layer.kind == "Softmax" for layer in self.layers[:-1]):
+            raise ShapeError("only the last layer may be a Softmax layer")
         if shapes[-1][0] < 2:
             raise ShapeError(f"the Softmax head has {shapes[-1][0]} class(es); at least 2 are needed")
         return shapes
@@ -101,38 +219,13 @@ def infer_shapes(spec: ArchitectureSpec) -> list[tuple[int, ...]]:
     shape = tuple(spec.input_shape)
     shapes: list[tuple[int, ...]] = []
     for i, layer in enumerate(spec.layers):
-        where = f"layer {i} ({layer.kind})"
+        kind = KINDS[layer.kind]
         try:
-            if layer.kind == "Conv2D":
-                if len(shape) != 3:
-                    raise ShapeError(f"expects (H, W, C) input, got {shape}")
-                k = layer.kernel_size
-                oh, ow = conv_output_hw(shape[0], shape[1], k, k, layer.effective_stride)
-                shape = (oh, ow, layer.out_channels)
-            elif layer.kind == "MaxPool2D":
-                if len(shape) != 3:
-                    raise ShapeError(f"expects (H, W, C) input, got {shape}")
-                win = layer.window
-                if win > shape[0] or win > shape[1]:
-                    raise ShapeError(f"pooling window {win} exceeds input {shape[0]}x{shape[1]}")
-                oh, ow = conv_output_hw(shape[0], shape[1], win, win, layer.effective_stride)
-                shape = (oh, ow, shape[2])
-            elif layer.kind == "Flatten":
-                size = 1
-                for d in shape:
-                    size *= d
-                shape = (size,)
-            elif layer.kind == "Dense":
-                if len(shape) != 1:
-                    raise ShapeError(f"expects a flat vector input, got {shape}")
-                shape = (layer.units,)
-            elif layer.kind == "Softmax":
-                if len(shape) != 1:
-                    raise ShapeError(f"expects a flat vector input, got {shape}")
-            elif layer.kind in ("ReLU", "Dropout"):
-                pass
+            if kind.in_rank is not None and len(shape) != kind.in_rank:
+                raise ShapeError(f"expects {_RANK_INPUT[kind.in_rank]} input, got {shape}")
+            shape = kind.out_shape(layer, shape)
         except ShapeError as exc:
-            raise ShapeError(f"{where}: {exc}") from None
+            raise ShapeError(f"layer {i} ({layer.kind}): {exc}") from None
         shapes.append(shape)
     return shapes
 

@@ -1,5 +1,9 @@
 """Sequential model assembled from an ArchitectureSpec.
 
+Layer names, parameter shapes and the forward and backward passes are each
+one loop over ``wellqc.nn.arch.KINDS``, the table of what each layer kind
+computes; this module holds the parameters and the order the layers run in.
+
 The model owns a flat named parameter collection (keys like "conv1.W",
 "dense2.b"); layers themselves are stateless. Forward passes return an
 explicit cache instead of storing activations on the model, so a frozen model
@@ -34,7 +38,7 @@ import numpy as np
 
 from wellqc.errors import EmptyEvaluation, ShapeError
 from wellqc.nn import ops
-from wellqc.nn.arch import ArchitectureSpec
+from wellqc.nn.arch import KINDS, ArchitectureSpec
 from wellqc.parallel import blas_count, run_tasks
 
 TRAIN = "train"
@@ -43,19 +47,11 @@ SLICE = 16  # images per inference slice
 
 
 def _layer_names(spec: ArchitectureSpec) -> list[str]:
+    """Per-layer names, each kind counted from 1 in layer order (conv1, relu1, pool1, conv2, ...)."""
     counts: dict[str, int] = {}
-    short = {
-        "Conv2D": "conv",
-        "ReLU": "relu",
-        "MaxPool2D": "pool",
-        "Flatten": "flatten",
-        "Dense": "dense",
-        "Dropout": "dropout",
-        "Softmax": "softmax",
-    }
     names = []
     for layer in spec.layers:
-        base = short[layer.kind]
+        base = KINDS[layer.kind].short
         counts[base] = counts.get(base, 0) + 1
         names.append(f"{base}{counts[base]}")
     return names
@@ -67,11 +63,6 @@ class Model:
     params: dict[str, np.ndarray]
     mode: str = INFER
     dropout_rate: float = 0.0  # of every Dropout layer, in train mode
-
-    @property
-    def layer_names(self) -> list[str]:
-        """Per-layer names, each kind counted from 1 in layer order (conv1, relu1, pool1, conv2, ...)."""
-        return _layer_names(self.spec)
 
     @property
     def execution_order(self) -> list[int]:
@@ -113,13 +104,9 @@ def param_shapes(spec: ArchitectureSpec) -> dict[str, tuple[int, ...]]:
     shapes = {}
     in_shape = spec.input_shape
     for layer, name, out_shape in zip(spec.layers, _layer_names(spec), spec.validate()):
-        if layer.kind == "Conv2D":
-            k = layer.kernel_size
-            shapes[f"{name}.W"] = (k, k, in_shape[2], layer.out_channels)
-            shapes[f"{name}.b"] = (layer.out_channels,)
-        elif layer.kind == "Dense":
-            shapes[f"{name}.W"] = (in_shape[0], layer.units)
-            shapes[f"{name}.b"] = (layer.units,)
+        kind = KINDS[layer.kind]
+        if kind.param_shapes is not None:
+            shapes[f"{name}.W"], shapes[f"{name}.b"] = kind.param_shapes(layer, in_shape)
         in_shape = out_shape
     return shapes
 
@@ -150,36 +137,13 @@ def model_forward(model: Model, batch, rng=None):
     if x.ndim != 4 or x.shape[1:] != tuple(model.spec.input_shape):
         raise ShapeError(f"batch shape {x.shape} does not match input shape {model.spec.input_shape}")
     x = x.astype(model.dtype, copy=False)
-    names = model.layer_names
+    names = _layer_names(model.spec)
     cache = [None] * len(names)
     for idx in model.execution_order:
         layer, name = model.spec.layers[idx], names[idx]
-        kind = layer.kind
-        if kind == "Conv2D":
-            w, b = model.params[f"{name}.W"], model.params[f"{name}.b"]
-            out = ops.conv2d_forward(x, w, b, layer.effective_stride)
-            cache[idx] = (x,)
-        elif kind == "ReLU":
-            out = ops.relu(x)
-            cache[idx] = (x,)
-        elif kind == "MaxPool2D":
-            out = ops.maxpool2d_forward(x, layer.window, layer.effective_stride)
-            cache[idx] = (x, out)
-        elif kind == "Flatten":
-            out = ops.flatten(x)
-            cache[idx] = (x.shape,)
-        elif kind == "Dense":
-            w, b = model.params[f"{name}.W"], model.params[f"{name}.b"]
-            out = ops.dense_forward(x, w, b)
-            cache[idx] = (x,)
-        elif kind == "Dropout":
-            out, mask = ops.dropout_forward(x, model.dropout_rate, rng, model.mode)
-            cache[idx] = (mask,)
-        elif kind == "Softmax":
-            log_probs = ops.log_softmax(x)
-            out = ops.softmax(x)
-            cache[idx] = (out, log_probs)
-        x = out
+        kind = KINDS[layer.kind]
+        params = (model.params[f"{name}.W"], model.params[f"{name}.b"]) if kind.param_shapes else None
+        x, cache[idx] = kind.forward(layer, params, x, model, rng)
     return x, cache
 
 
@@ -200,34 +164,14 @@ def model_backward(model: Model, cache, labels) -> dict[str, np.ndarray]:
     probs, _ = cache[-1]
     grads: dict[str, np.ndarray] = {}
     g = ops.sparse_ce_grad_logits(probs, labels)
-    names = model.layer_names
+    names = _layer_names(model.spec)
     for idx in reversed(model.execution_order[:-1]):
         layer, name = model.spec.layers[idx], names[idx]
-        kind = layer.kind
-        if kind == "Conv2D":
-            (x,) = cache[idx]
-            w = model.params[f"{name}.W"]
-            g, gw, gb = ops.conv2d_backward(g, x, w, layer.effective_stride)
-            grads[f"{name}.W"] = gw
-            grads[f"{name}.b"] = gb
-        elif kind == "ReLU":
-            (x,) = cache[idx]
-            g = ops.relu_backward(g, x)
-        elif kind == "MaxPool2D":
-            x, _ = cache[idx]
-            g = ops.maxpool2d_backward(g, cache[idx], x.shape, layer.window, layer.effective_stride)
-        elif kind == "Flatten":
-            (in_shape,) = cache[idx]
-            g = ops.flatten_backward(g, in_shape)
-        elif kind == "Dense":
-            (x,) = cache[idx]
-            w = model.params[f"{name}.W"]
-            g, gw, gb = ops.dense_backward(g, x, w)
-            grads[f"{name}.W"] = gw
-            grads[f"{name}.b"] = gb
-        elif kind == "Dropout":
-            (mask,) = cache[idx]
-            g = ops.dropout_backward(g, mask, model.dropout_rate)
+        kind = KINDS[layer.kind]
+        params = (model.params[f"{name}.W"], model.params[f"{name}.b"]) if kind.param_shapes else None
+        g, layer_grads = kind.backward(layer, params, g, cache[idx], model)
+        if layer_grads is not None:
+            grads[f"{name}.W"], grads[f"{name}.b"] = layer_grads
     return grads
 
 

@@ -55,9 +55,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
 
 def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
@@ -81,18 +78,18 @@ def adam_step(params, grads, state: AdamState, lr: float):
     if bad:
         raise NonFiniteGradient(f"non-finite gradient in {', '.join(sorted(bad))}")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for key, g in grads.items():
         m, v = state.m[key], state.v[key]
         s1, s2 = np.empty_like(m), np.empty_like(v)
-        m *= state.beta1
-        m += np.multiply(1.0 - state.beta1, g, out=s1)
-        v *= state.beta2
-        v += np.multiply(1.0 - state.beta2, np.square(g, out=s1), out=s1)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=s1)
+        v *= ADAM_BETA2
+        v += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=s1), out=s1)
         m_hat = np.divide(m, bc1, out=s1)
         v_hat = np.divide(v, bc2, out=s2)
-        denom = np.add(np.sqrt(v_hat, out=s2), state.eps, out=s2)
+        denom = np.add(np.sqrt(v_hat, out=s2), ADAM_EPS, out=s2)
         params[key] -= np.divide(np.multiply(lr, m_hat, out=s1), denom, out=s1)
     return params, state
 

@@ -44,6 +44,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.architecture.validate()
 
     def with_hyperparams(self, **updates) -> "RunConfig":

@@ -46,13 +46,24 @@ class TestInferShapes:
         with pytest.raises(ShapeError, match="layer 0 .MaxPool2D."):
             infer_shapes(spec)
 
-    def test_dense_on_unflattened_input_raises(self):
-        spec = ArchitectureSpec(
-            input_shape=(4, 4, 1),
-            layers=(LayerSpec("Dense", units=2), LayerSpec("Softmax")),
-        )
-        with pytest.raises(ShapeError, match="layer 0 .Dense."):
+    @pytest.mark.parametrize(
+        "layers, message",
+        [
+            ((LayerSpec("Dense", units=2), LayerSpec("Softmax")),
+             "layer 0 (Dense): expects a flat vector input, got (4, 4, 1)"),
+            ((LayerSpec("Flatten"), LayerSpec("Conv2D", out_channels=1, kernel_size=1)),
+             "layer 1 (Conv2D): expects (H, W, C) input, got (16,)"),
+            ((LayerSpec("Flatten"), LayerSpec("MaxPool2D", window=1)),
+             "layer 1 (MaxPool2D): expects (H, W, C) input, got (16,)"),
+            ((LayerSpec("Softmax"),), "layer 0 (Softmax): expects a flat vector input, got (4, 4, 1)"),
+        ],
+        ids=["dense-on-image", "conv-after-flatten", "pool-after-flatten", "softmax-on-image"],
+    )
+    def test_dense_on_unflattened_input_raises(self, layers, message):
+        spec = ArchitectureSpec(input_shape=(4, 4, 1), layers=layers)
+        with pytest.raises(ShapeError) as info:
             infer_shapes(spec)
+        assert str(info.value) == message
 
     def test_conv_kernel_too_large_names_layer(self):
         spec = ArchitectureSpec(
@@ -85,6 +96,21 @@ class TestArchitectureSpec:
             layers=(LayerSpec("Flatten"), LayerSpec("Dense", units=2)),
         )
         with pytest.raises(ShapeError):
+            spec.validate()
+
+    def test_softmax_before_the_last_layer_rejected(self):
+        # a Softmax has no backward of its own: it differentiates jointly with the loss, as the head
+        spec = ArchitectureSpec(
+            input_shape=(4, 4, 1),
+            layers=(
+                LayerSpec("Flatten"),
+                LayerSpec("Dense", units=4),
+                LayerSpec("Softmax"),
+                LayerSpec("Dense", units=2),
+                LayerSpec("Softmax"),
+            ),
+        )
+        with pytest.raises(ShapeError, match="only the last layer may be a Softmax layer"):
             spec.validate()
 
     def test_head_width_must_match_num_classes(self):

@@ -46,6 +46,8 @@ CONFIG_CASES = [
      "architecture: unknown key(s) 'bogus'"),
     ("set-seed-float", [*TRAIN, "--set", "seed=1.7"], None,
      "seed: expected an integer, got 1.7"),
+    ("set-seed-negative", [*TRAIN, "--set", "seed=-3"], None,
+     "seed must be >= 0, got -3"),
     ("set-learning-rate-nan", [*TRAIN, "--set", "hyperparams.learning_rate=NaN"], None,
      "hyperparams.learning_rate: expected a finite number, got NaN"),
     ("set-l2-infinity", [*TRAIN, "--set", "hyperparams.l2_lambda=Infinity"], None,
@@ -98,14 +100,20 @@ def as_v1_header(header):
     header["hyperparams"].update(optimizer="adam", loss="sparse_categorical_cross_entropy")
 
 
+# one epoch, should a count check not fire
+ONE_EPOCH = ["--set", "hyperparams.epochs=1"]
+
 # id, argv, what the error line names
 COUNT_CASES = [
-    ("grid-search-jobs-0", [*GRID_SEARCH, "--jobs", "0"], "--jobs must be >= 1, got 0"),
-    ("grid-search-jobs-minus-2", [*GRID_SEARCH, "--jobs", "-2"], "--jobs must be >= 1, got -2"),
-    ("cv-jobs-0", [*CV, "--k", "2", "--jobs", "0"], "--jobs must be >= 1, got 0"),
-    ("cv-jobs-minus-2", [*CV, "--k", "2", "--jobs", "-2"], "--jobs must be >= 1, got -2"),
-    ("cv-k-0", [*CV, "--k", "0"], "--k must be >= 2, got 0"),
-    ("cv-k-1", [*CV, "--k", "1", "--jobs", "2"], "--k must be >= 2, got 1"),
+    ("grid-search-jobs-0", [*GRID_SEARCH, *ONE_EPOCH, "--jobs", "0"], "--jobs must be >= 1, got 0"),
+    ("grid-search-jobs-minus-2", [*GRID_SEARCH, *ONE_EPOCH, "--jobs", "-2"], "--jobs must be >= 1, got -2"),
+    ("cv-jobs-0", [*CV, *ONE_EPOCH, "--k", "2", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+    ("cv-jobs-minus-2", [*CV, *ONE_EPOCH, "--k", "2", "--jobs", "-2"], "--jobs must be >= 1, got -2"),
+    ("cv-k-0", [*CV, *ONE_EPOCH, "--k", "0"], "--k must be >= 2, got 0"),
+    ("cv-k-1", [*CV, *ONE_EPOCH, "--k", "1", "--jobs", "2"], "--k must be >= 2, got 1"),
+    ("grad-check-batch-0", ["grad-check", "--out-dir", "{tmp}/out", "--batch", "0"], "--batch must be >= 1, got 0"),
+    ("grad-check-batch-minus-1", ["grad-check", "--out-dir", "{tmp}/out", "--batch", "-1"],
+     "--batch must be >= 1, got -1"),
 ]
 
 
@@ -150,7 +158,7 @@ def test_malformed_config_exits_1_with_one_line(workspace, tmp_path, capsys, arg
 )
 def test_count_below_its_minimum_exits_1_and_writes_nothing(workspace, tmp_path, capsys, argv, names):
     (tmp_path / "input.json").write_text(json.dumps({"learning_rate": [0.01]}))
-    code, lines = run_cli([*argv, "--set", "hyperparams.epochs=1"], capsys, tmp=tmp_path, **workspace)
+    code, lines = run_cli(argv, capsys, tmp=tmp_path, **workspace)
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: ValueError: "), lines
     assert names in lines[0]

@@ -1,15 +1,14 @@
-"""Manifest format, augmentation-based expansion, and dataset loading."""
+"""Manifest format and dataset loading."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from wellqc.errors import FormatError, InsufficientOriginals, LabelError
+from wellqc.errors import FormatError, LabelError
 from wellqc.data.augment import augment_pixels
 from wellqc.data.manifest import (
     DatasetManifest,
     ManifestEntry,
-    expand_dataset,
     load_examples,
 )
 from wellqc.data.pgm import write_pgm
@@ -79,48 +78,6 @@ class TestManifestFile:
         with pytest.raises(FormatError, match="'x'") as info:
             DatasetManifest.load(path)
         assert info.value.offset == len(header) + len("a.pgm\t0\treal\tnone\n")
-
-
-class TestExpandDataset:
-    def test_125_originals_reach_500_using_all_three_ops(self):
-        manifest = make_manifest(125)
-        expanded = expand_dataset(manifest, target_per_class=500)
-        counts = expanded.class_counts()
-        assert counts == {0: 500, 1: 500}
-        for label in (0, 1):
-            tags = [e.aug for e in expanded.entries if e.label == label]
-            assert tags.count("none") == 125
-            for op in ("hflip", "vflip", "rot180"):
-                assert tags.count(op) == 125
-
-    def test_target_equal_to_originals_changes_nothing(self):
-        manifest = make_manifest(100)
-        expanded = expand_dataset(manifest, target_per_class=100)
-        assert expanded.entries == manifest.entries
-
-    def test_insufficient_originals_raises(self):
-        manifest = make_manifest(100)
-        with pytest.raises(InsufficientOriginals):
-            expand_dataset(manifest, target_per_class=500)
-
-    def test_op_major_fill_order(self):
-        # 4 originals, target 10: all 4 hflips first, then 2 vflips
-        manifest = make_manifest(4)
-        expanded = expand_dataset(manifest, target_per_class=10)
-        added = [e for e in expanded.entries if e.label == 0 and e.aug != "none"]
-        assert [e.aug for e in added] == ["hflip"] * 4 + ["vflip"] * 2
-
-    def test_added_entries_are_tagged_augmented(self):
-        manifest = make_manifest(2)
-        expanded = expand_dataset(manifest, target_per_class=4)
-        added = [e for e in expanded.entries if e.aug != "none"]
-        assert added and all(e.origin == "augmented" for e in added)
-
-    def test_expansion_is_deterministic(self):
-        manifest = make_manifest(50)
-        a = expand_dataset(manifest, target_per_class=170)
-        b = expand_dataset(manifest, target_per_class=170)
-        assert a.entries == b.entries
 
 
 class TestLoadExamples:

@@ -9,6 +9,7 @@ import pytest
 from wellqc import parallel
 from wellqc.errors import EmptyEvaluation, ShapeError
 from wellqc.nn import model as nn_model
+from wellqc.nn import ops
 from wellqc.nn.arch import ArchitectureSpec, LayerSpec, default_architecture, logistic_architecture
 from wellqc.nn.model import (
     INFER,
@@ -230,6 +231,30 @@ class TestExecutionPlan:
             assert np.array_equal(grads[key], want_grads[key]), key  # the sign of a zero may differ
         for relu, pool in ((1, 2), (4, 5)):
             assert cache[relu][0] is cache[pool][1]  # ReLU caches the pooled values, not a full-size copy
+
+
+def test_every_kernel_is_looked_up_on_ops_when_it_runs(monkeypatch):
+    """The layer table calls ops.<name> at run time, so a kernel replaced on ops is the one that runs."""
+    kernels = [
+        "conv2d_forward", "conv2d_backward", "relu", "relu_backward", "maxpool2d_forward",
+        "maxpool2d_backward", "flatten", "flatten_backward", "dense_forward", "dense_backward",
+        "dropout_forward", "dropout_backward", "log_softmax", "softmax", "sparse_ce_grad_logits",
+    ]
+    called = set()
+
+    def wrapping(name, kernel):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in kernels:
+        monkeypatch.setattr(ops, name, wrapping(name, getattr(ops, name)))
+    model = init_model(conv_stage_spec(2, 2), np.random.default_rng(24))
+    model.dropout_rate = 0.5
+    _, cache = model_forward(model, np.ones((2, 13, 13, 1), np.float32), rng=np.random.default_rng(25))
+    model_backward(model, cache, np.array([0, 1]))
+    assert called == set(kernels)
 
 
 class TestInit:

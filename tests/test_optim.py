@@ -35,17 +35,17 @@ def scalar_adam_reference(theta, grads, lr, b1=ADAM_BETA1, b2=ADAM_BETA2, eps=AD
 def allocating_adam_oracle(params, grads, state, lr):
     """The Adam update with one fresh array per intermediate, in adam_step's operation order."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for key, g in grads.items():
         m, v = state.m[key], state.v[key]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
         m_hat = m / bc1
         v_hat = v / bc2
-        params[key] -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(params[key].dtype)
+        params[key] -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(params[key].dtype)
 
 
 class TestAdamStep:
