@@ -2,8 +2,10 @@
 
 Subcommands: gen, tile, train, grid-search, cv, eval, predict, grad-check.
 Config precedence is built-in defaults < --config file < --set overrides, and
-no environment variable takes part; the fully-resolved config is logged and
-written into the out-dir before anything runs. Exit codes: 0 success, 1
+no environment variable takes part. Each command reads and checks its inputs
+(config, grid, manifest, checkpoint, architecture) before it creates its
+out-dir, so a malformed input leaves none behind; then the fully-resolved
+config is logged and written into the out-dir. Exit codes: 0 success, 1
 contract/validation failure, 2 I/O or format error. Every failure prints one
 line, "error: <type>: <message>", to stderr.
 
@@ -126,8 +128,8 @@ def cmd_tile(args) -> int:
 
 def cmd_train(args) -> int:
     config = _resolve_config(args)
-    out_dir = _prepare_out_dir(args, config)
     train_set, val_set = _load_split(args, config)
+    out_dir = _prepare_out_dir(args, config)
     trainer = train_logistic_baseline if args.model == "logistic" else train
     checkpoint = trainer(config, train_set, val_set)
     ckpt_path = out_dir / "checkpoint.bin"
@@ -144,9 +146,9 @@ def cmd_train(args) -> int:
 def cmd_grid_search(args) -> int:
     _check_at_least(args, "jobs", 1)
     config = _resolve_config(args)
-    out_dir = _prepare_out_dir(args, config)
     grid = configio.load_file(GridSpec, args.grid)
     train_set, val_set = _load_split(args, config)
+    out_dir = _prepare_out_dir(args, config)
     results, best_config = grid_search(grid, config, train_set, val_set, jobs=args.jobs)
     (out_dir / "grid_results.csv").write_text(grid_table_csv(results), encoding="utf-8")
     configio.write_json(out_dir / "grid_results.json", [asdict(r) for r in results])
@@ -163,8 +165,8 @@ def cmd_cv(args) -> int:
     _check_at_least(args, "jobs", 1)
     _check_at_least(args, "k", 2)
     config = _resolve_config(args)
-    out_dir = _prepare_out_dir(args, config)
     manifest = DatasetManifest.load(args.data)
+    out_dir = _prepare_out_dir(args, config)
     report = cross_validate(config, manifest, args.k, jobs=args.jobs)
     configio.write_json(out_dir / "cv_report.json", asdict(report))
     acc = report.mean.get("accuracy", float("nan"))
@@ -174,10 +176,9 @@ def cmd_cv(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out_dir = _prepare_out_dir(args)
     checkpoint = Checkpoint.load(args.checkpoint)
-    manifest = DatasetManifest.load(args.data)
-    dataset = load_examples(manifest)
+    dataset = load_examples(DatasetManifest.load(args.data))
+    out_dir = _prepare_out_dir(args)
     report = evaluate_checkpoint(checkpoint, dataset, threshold=args.threshold, method=args.method)
     for fmt, name in (("json", "report.json"), ("csv", "report.csv"), ("text", "report.txt")):
         emit_report(report, out_dir / name, format=fmt)
@@ -187,15 +188,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    out_dir = _prepare_out_dir(args)
     checkpoint = Checkpoint.load(args.checkpoint)
     if args.data:
-        manifest = DatasetManifest.load(args.data)
-        dataset = load_examples(manifest)
+        dataset = load_examples(DatasetManifest.load(args.data))
         images, ids = dataset.images, dataset.ids
     else:
         images = np.stack([read_crop(path)[:, :, None] for path in args.images])
         ids = [str(path) for path in args.images]
+    out_dir = _prepare_out_dir(args)
     labels, p1 = predict(checkpoint, images, threshold=args.threshold)
     out_path = out_dir / "predictions.csv"
     lines = ["id,predicted_label,prob_defective"]
@@ -226,10 +226,10 @@ def _toy_architecture() -> ArchitectureSpec:
 
 def cmd_grad_check(args) -> int:
     _check_at_least(args, "batch", 1)
-    out_dir = _prepare_out_dir(args)
     arch = configio.load_file(ArchitectureSpec, args.arch) if args.arch else _toy_architecture()
     rng = np.random.default_rng(args.check_seed)
-    model = init_model(arch, rng)
+    model = init_model(arch, rng)  # validates the architecture
+    out_dir = _prepare_out_dir(args)
     batch = rng.random((args.batch, *arch.input_shape), dtype=np.float32)
     labels = rng.integers(0, arch.num_classes, args.batch)
     try:

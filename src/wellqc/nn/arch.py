@@ -35,6 +35,7 @@ class LayerKind:
     forward: Callable
     backward: Callable | None
     required: tuple[str, ...] = ()  # LayerSpec fields that must be set
+    accepts: tuple[str, ...] = ()  # LayerSpec fields that may be set, the required ones included
     in_rank: int | None = None  # rank of the input it accepts; None: any
     out_shape: Callable = lambda layer, shape: shape
     param_shapes: Callable | None = None
@@ -89,6 +90,7 @@ KINDS: dict[str, LayerKind] = {
     "Conv2D": LayerKind(
         short="conv",
         required=("out_channels", "kernel_size"),
+        accepts=("out_channels", "kernel_size", "stride"),
         in_rank=3,
         out_shape=_conv_shape,
         param_shapes=lambda layer, shape: (
@@ -105,6 +107,7 @@ KINDS: dict[str, LayerKind] = {
     "MaxPool2D": LayerKind(
         short="pool",
         required=("window",),
+        accepts=("window", "stride"),
         in_rank=3,
         out_shape=_pool_shape,
         forward=_pool_forward,
@@ -119,6 +122,7 @@ KINDS: dict[str, LayerKind] = {
     "Dense": LayerKind(
         short="dense",
         required=("units",),
+        accepts=("units",),
         in_rank=1,
         out_shape=lambda layer, shape: (layer.units,),
         param_shapes=lambda layer, shape: ((shape[0], layer.units), (layer.units,)),
@@ -137,7 +141,8 @@ LAYER_KINDS = tuple(KINDS)
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer. Fields other than ``kind`` apply only to specific kinds:
+    """One layer. Fields other than ``kind`` apply only to specific kinds (``LayerKind.accepts``);
+    one set on any other kind is a ConfigError:
 
     Conv2D: out_channels, kernel_size, stride (default 1; square kernel)
     MaxPool2D: window, stride (default: stride = window)
@@ -156,15 +161,18 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown layer kind {self.kind!r}; expected one of {LAYER_KINDS}")
-        for name in KINDS[self.kind].required:
+        kind = KINDS[self.kind]
+        for name in kind.required:
             if getattr(self, name) is None:
                 raise ConfigError(f"{self.kind} layer requires {name!r}")
-        for name in ("out_channels", "kernel_size", "window", "units"):
+        for name in ("out_channels", "kernel_size", "stride", "window", "units"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is None:
+                continue
+            if name not in kind.accepts:
+                raise ConfigError(f"{self.kind} layer does not take {name!r}")
+            if value < 1:
                 raise ConfigError(f"{self.kind}.{name} must be >= 1, got {value}")
-        if self.stride is not None and self.stride < 1:
-            raise ConfigError(f"{self.kind}.stride must be >= 1, got {self.stride}")
 
     @property
     def effective_stride(self) -> int:

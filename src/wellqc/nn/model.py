@@ -19,7 +19,7 @@ equal the written order's, up to the sign of a zero. The spec, the config and
 the layer names stay as written.
 
 Inference (``predict_probs``) walks the images in 64-image blocks. A model
-with a Conv2D layer forwards each block as 16-image slices, a shorter
+with a Conv2D layer forwards each block as 8-image slices, a shorter
 remainder joined to the slice before it, on the task runner
 (``wellqc.parallel``) with one worker per OpenBLAS thread in force; the
 runner splits the CPUs among the workers' BLAS threads, one each when there
@@ -29,6 +29,11 @@ calling thread: its dense product is a GEMV, whose bits follow the BLAS
 thread count. The loss is still one mean per 64-image block. Dense-only
 models run each block whole and serially, because their wide products change
 bits with the row count and the BLAS thread count.
+
+Slices hold 8 images, not 16, which halves the activations each worker holds
+at once. In a process that had trained with ``train``'s split helper
+(``wellqc.parallel``), as the benchmark's ``scan_qc`` set-up does, 16-image
+slices raised the peak RSS by about a quarter.
 """
 
 import math
@@ -43,7 +48,7 @@ from wellqc.parallel import blas_count, run_tasks
 
 TRAIN = "train"
 INFER = "infer"
-SLICE = 16  # images per inference slice
+SLICE = 8  # images per inference slice
 
 
 def _layer_names(spec: ArchitectureSpec) -> list[str]:

@@ -25,11 +25,27 @@ overlap: the backward writes the routed pieces into one contiguous
 (KH, KW, N, OH, OW, C) buffer and stores it with one copy through a
 (N, OH, KH, OW, KW, C) block view of the input gradient. Any other stride
 goes through ``_scatter_add``, which sums the pieces of overlapping windows.
+
+Three kernels use a ``wellqc.parallel.split_thread`` helper when the calling
+thread has one open (``train`` does), each with the bits it has on one thread:
+- ``conv2d_backward`` computes the input gradient on the caller and the weight
+  and bias gradients on the helper. They are separate GEMMs of unchanged shape.
+- The pools with stride == window, given N >= 2 images, run each half of the
+  batch on its own thread, into one output the caller allocates. Each image's
+  windows are its own, so the halves hold the same values as one pass.
+The conv forward is not split: cut by rows, its GEMM changed bits, since at
+small shapes they depend on the row count. Overlapping pools are not split
+either: their backward adds the pieces of neighbouring windows, and where two
+NaNs meet, the sign of the sum's NaN depends on which of numpy's add loops
+(vector or scalar) takes the element. A half batch moves that boundary, and
+the signed-NaN oracle case failed. With no helper open every kernel runs on
+the whole batch at once, because halving the pools there only adds calls.
 """
 
 import numpy as np
 
 from wellqc.errors import LabelError, ShapeError
+from wellqc.parallel import both, helper_open
 
 
 # ---------------------------------------------------------------------------
@@ -109,29 +125,57 @@ def conv2d_backward(grad_out, cached_input, weights, stride=1):
         raise ShapeError(f"grad_out shape {g.shape} does not match forward output {(n, oh, ow, cout)}")
 
     gflat = g.reshape(-1, cout)
-    # The bits of g.sum(axis=(0, 1, 2)): it adds row after row, as einsum does in one pass,
-    # except at C_out = 1, where it sums one contiguous run pairwise.
-    gb = gflat.sum(axis=0) if cout == 1 else np.einsum("rc->c", gflat)
-    gw = _im2col(x, kh, kw, stride).T @ gflat
-    # Channels-first, so that every scatter-add runs along W instead of over C_in values.
-    gcols = (weights.reshape(kh * kw * cin, cout) @ gflat.T).reshape(kh, kw, cin, n, oh, ow)
-    gx = np.zeros((cin, n, h, w), gcols.dtype).transpose(1, 2, 3, 0)
-    _scatter_add(gx, kh, kw, stride, lambda dy, dx: gcols[dy, dx].transpose(1, 2, 3, 0))
-    return np.ascontiguousarray(gx), gw.reshape(weights.shape), gb
+
+    def weight_grads():
+        # The bits of g.sum(axis=(0, 1, 2)): it adds row after row, as einsum does in one pass,
+        # except at C_out = 1, where it sums one contiguous run pairwise.
+        gb = gflat.sum(axis=0) if cout == 1 else np.einsum("rc->c", gflat)
+        gw = _im2col(x, kh, kw, stride).T @ gflat
+        return gw.reshape(weights.shape), gb
+
+    def input_grad():
+        # Channels-first, so that every scatter-add runs along W instead of over C_in values.
+        gcols = (weights.reshape(kh * kw * cin, cout) @ gflat.T).reshape(kh, kw, cin, n, oh, ow)
+        gx = np.zeros((cin, n, h, w), gcols.dtype).transpose(1, 2, 3, 0)
+        _scatter_add(gx, kh, kw, stride, lambda dy, dx: gcols[dy, dx].transpose(1, 2, 3, 0))
+        return np.ascontiguousarray(gx)
+
+    gx, (gw, gb) = both(input_grad, weight_grads)
+    return gx, gw, gb
 
 
 # ---------------------------------------------------------------------------
 # max pooling
 # ---------------------------------------------------------------------------
 
+def _by_halves(n, split, part):
+    """Run ``part(images)`` once over all ``n`` images, or over each image half.
+
+    Halves run when ``split`` holds, a helper is open and N >= 2; the second
+    half runs on the helper thread.
+    """
+    if split and n >= 2 and helper_open():
+        both(lambda: part(slice(0, n // 2)), lambda: part(slice(n // 2, n)))
+    else:
+        part(slice(None))
+
+
 def maxpool2d_forward(x, window, stride=None):
     """Max pooling: the maximum of each window, NaN if the window holds one."""
-    wins = _windows(x, window, window, window if stride is None else stride)
-    out = None
-    for dy, dx in np.ndindex(window, window):
-        cell = wins[:, :, :, dy, dx, :]
-        # On a tie np.maximum returns its second argument: the earlier cell, sign of zero included.
-        out = cell.copy() if out is None else np.maximum(cell, out, out=out)
+    stride = window if stride is None else stride
+    wins = _windows(x, window, window, stride)
+    out = np.empty(wins.shape[:3] + wins.shape[5:], x.dtype)
+
+    def running_max(images):
+        for dy, dx in np.ndindex(window, window):
+            cell = wins[images, :, :, dy, dx, :]
+            # On a tie np.maximum returns its second argument: the earlier cell, sign of zero included.
+            if dy == dx == 0:
+                np.copyto(out[images], cell)
+            else:
+                np.maximum(cell, out[images], out=out[images])
+
+    _by_halves(len(x), stride == window, running_max)
     return out
 
 
@@ -147,24 +191,28 @@ def maxpool2d_backward(grad_out, cache, input_shape, window, stride=None):
     wins = _windows(x, window, window, stride)
     unrouted = np.ones(out.shape, dtype=bool)
 
-    def first_max(dy, dx):
-        hit = wins[:, :, :, dy, dx, :] == out
-        hit &= unrouted
-        np.logical_xor(unrouted, hit, out=unrouted)  # hit is a subset of unrouted
+    def first_max(images, dy, dx):
+        hit = wins[images, :, :, dy, dx, :] == out[images]
+        hit &= unrouted[images]
+        np.logical_xor(unrouted[images], hit, out=unrouted[images])  # hit is a subset of unrouted
         return hit
 
     gx = np.zeros(input_shape, grad_out.dtype)
     if stride != window:
-        return _scatter_add(gx, window, window, stride, lambda dy, dx: grad_out * first_max(dy, dx))
+        return _scatter_add(gx, window, window, stride, lambda dy, dx: grad_out * first_max(slice(None), dy, dx))
     # No overlap, so each cell takes one piece: write them all contiguously,
     # then store them with one copy through the (N, OH, KH, OW, KW, C) block view of gx.
     n, oh, ow, c = out.shape
     pieces = np.empty((window, window, n, oh, ow, c), grad_out.dtype)
-    for dy, dx in np.ndindex(window, window):
-        np.multiply(grad_out, first_max(dy, dx), out=pieces[dy, dx])
-    pieces += 0  # -0 becomes +0, as 0 + v does in the scatter
     blocks = gx[:, : oh * window, : ow * window].reshape(n, oh, window, ow, window, c, copy=False)
-    blocks[...] = pieces.transpose(2, 3, 0, 4, 1, 5)
+
+    def route(images):
+        for dy, dx in np.ndindex(window, window):
+            np.multiply(grad_out[images], first_max(images, dy, dx), out=pieces[dy, dx, images])
+        pieces[:, :, images] += 0  # -0 becomes +0, as 0 + v does in the scatter
+        blocks[images] = pieces[:, :, images].transpose(2, 3, 0, 4, 1, 5)
+
+    _by_halves(n, True, route)
     return gx
 
 

@@ -10,14 +10,21 @@ A task that runs on a runner thread runs any runner call it makes serially,
 on its own thread: a grid cell's predictions open no second pool. Only the
 thread that opened the one pool sets the count: ``blas_threads`` on a runner
 thread leaves it as is.
+
+Inside one kernel, ``split_thread`` opens a single helper thread for the
+thread that enters it, and ``both`` runs one of two independent parts there
+(``wellqc.nn.ops`` splits the conv backward and the non-overlapping pools
+this way while ``train`` runs). The helper is a runner thread, so a grid cell
+or a fold, which already runs on one, opens none and runs both parts itself.
 """
 
+import contextvars
 import ctypes
 import functools
 import logging
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -94,3 +101,47 @@ def run_tasks(fn, tasks, jobs: int) -> list:
         ThreadPoolExecutor(max_workers=workers, initializer=_mark_runner_thread) as pool,
     ):
         return list(pool.map(lambda task: fn(*task), tasks))
+
+
+def helper_open() -> bool:
+    """Whether the calling thread has a ``split_thread`` helper open."""
+    return getattr(_runner_thread, "helper", None) is not None
+
+
+@contextmanager
+def split_thread():
+    """Open one helper thread for the ``both`` calls of the calling thread; close it on exit.
+
+    Nothing opens on a runner thread (the helper included), where a helper is
+    already open, or on fewer than 2 CPUs: there ``both`` runs serially. The
+    helper is a runner thread, so ``blas_threads`` and ``run_tasks`` on it
+    keep the count and run serially, as on any worker.
+    """
+    if getattr(_runner_thread, "active", False) or helper_open() or _cpu_count() < 2:
+        yield
+        return
+    with ThreadPoolExecutor(1, thread_name_prefix="wellqc-split", initializer=_mark_runner_thread) as helper:
+        _runner_thread.helper = helper
+        try:
+            yield
+        finally:
+            _runner_thread.helper = None
+
+
+def both(first, second):
+    """``(first(), second())``, with ``second`` on the calling thread's open helper, if any.
+
+    ``second`` runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds on the helper. Both parts have finished when this
+    returns or raises; if both raise, ``first``'s error is the one raised.
+    With no helper open the parts run in order on the calling thread.
+    """
+    helper = getattr(_runner_thread, "helper", None)
+    if helper is None:
+        return first(), second()
+    future = helper.submit(contextvars.copy_context().run, second)
+    try:
+        result = first()
+    finally:
+        wait([future])
+    return result, future.result()

@@ -5,9 +5,14 @@ the L2 penalty); the pure cross-entropy component is kept alongside it.
 Validation loss is pure cross-entropy, which is also what early stopping
 monitors by default.
 
-The batch loop runs OpenBLAS on one thread (on a runner thread, at its pool's
-count): conv2's weight gradient changes bits with the thread count at some odd
-batch sizes. Validation runs outside it, so ``predict_probs`` stays parallel.
+Every epoch, validation included, runs OpenBLAS on one thread (on a runner
+thread, at its pool's count). conv2's weight gradient changes bits with the
+thread count at some odd batch sizes, and so does a one-image validation
+block, whose dense product is a GEMV. A validation pass at two BLAS threads
+also wakes OpenBLAS's worker, which then spins on the second core through the
+batches that follow. The second core instead serves ``split_thread``'s helper:
+the conv backward computes its weight gradient there, and the pools run half
+of their images there (``wellqc.nn.ops``), with the same bits as on one thread.
 
 Epoch wall time is measured for the run log only: it is not part of an
 EpochRecord, so identically-configured runs serialize to identical bytes.
@@ -23,7 +28,7 @@ from wellqc.errors import NonFiniteGradient
 from wellqc.nn.arch import logistic_architecture
 from wellqc.nn.model import TRAIN, Model, init_model, model_backward, model_forward, model_loss, predict_probs
 from wellqc.optim import adam_step, apply_l2, init_adam_state, l2_penalty
-from wellqc.parallel import blas_threads
+from wellqc.parallel import blas_threads, split_thread
 from wellqc.training.checkpoint import HISTORY_COLUMNS, Checkpoint, EpochRecord
 from wellqc.training.config import RunConfig
 
@@ -84,53 +89,54 @@ def train(config: RunConfig, train_set, val_set):
     n = len(train_set)
     history: list[EpochRecord] = []
 
-    for epoch in range(1, hp.epochs + 1):
-        t0 = time.perf_counter()
-        order = rng.permutation(n)
-        ce_sum = 0.0
-        obj_sum = 0.0
-        correct = 0
-        with blas_threads(1), np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            for batch_index, (start, stop) in enumerate(batch_slices(n, hp.batch_size)):
-                idx = order[start:stop]
-                images = train_set.images[idx]
-                labels = train_set.labels[idx]
-                probs, cache = model_forward(model, images, rng=rng)
-                ce = model_loss(cache, labels)
-                penalty = l2_penalty(model.params, hp.l2_lambda, reg_keys)
-                grads = model_backward(model, cache, labels)
-                grads = apply_l2(grads, model.params, hp.l2_lambda, reg_keys)
-                try:
-                    adam_step(model.params, grads, state, hp.learning_rate)
-                except NonFiniteGradient as exc:
-                    raise NonFiniteGradient(f"epoch {epoch}, batch {batch_index}: {exc}") from exc
-                size = stop - start
-                ce_sum += ce * size
-                obj_sum += (ce + penalty) * size
-                correct += int((probs.argmax(axis=1) == labels).sum())
+    with blas_threads(1), split_thread():
+        for epoch in range(1, hp.epochs + 1):
+            t0 = time.perf_counter()
+            order = rng.permutation(n)
+            ce_sum = 0.0
+            obj_sum = 0.0
+            correct = 0
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                for batch_index, (start, stop) in enumerate(batch_slices(n, hp.batch_size)):
+                    idx = order[start:stop]
+                    images = train_set.images[idx]
+                    labels = train_set.labels[idx]
+                    probs, cache = model_forward(model, images, rng=rng)
+                    ce = model_loss(cache, labels)
+                    penalty = l2_penalty(model.params, hp.l2_lambda, reg_keys)
+                    grads = model_backward(model, cache, labels)
+                    grads = apply_l2(grads, model.params, hp.l2_lambda, reg_keys)
+                    try:
+                        adam_step(model.params, grads, state, hp.learning_rate)
+                    except NonFiniteGradient as exc:
+                        raise NonFiniteGradient(f"epoch {epoch}, batch {batch_index}: {exc}") from exc
+                    size = stop - start
+                    ce_sum += ce * size
+                    obj_sum += (ce + penalty) * size
+                    correct += int((probs.argmax(axis=1) == labels).sum())
 
-        val_loss, val_accuracy = evaluate_model(model, val_set.images, val_set.labels)
-        record = EpochRecord(
-            epoch=epoch,
-            train_loss=obj_sum / n,
-            train_ce=ce_sum / n,
-            train_accuracy=correct / n,
-            val_loss=val_loss,
-            val_accuracy=val_accuracy,
-        )
-        history.append(record)
-        log.info(
-            "epoch %d: train_loss=%.4f train_acc=%.4f val_loss=%.4f val_acc=%.4f (%.2fs)",
-            record.epoch, record.train_loss, record.train_accuracy,
-            record.val_loss, record.val_accuracy, time.perf_counter() - t0,
-        )
+            val_loss, val_accuracy = evaluate_model(model, val_set.images, val_set.labels)
+            record = EpochRecord(
+                epoch=epoch,
+                train_loss=obj_sum / n,
+                train_ce=ce_sum / n,
+                train_accuracy=correct / n,
+                val_loss=val_loss,
+                val_accuracy=val_accuracy,
+            )
+            history.append(record)
+            log.info(
+                "epoch %d: train_loss=%.4f train_acc=%.4f val_loss=%.4f val_acc=%.4f (%.2fs)",
+                record.epoch, record.train_loss, record.train_accuracy,
+                record.val_loss, record.val_accuracy, time.perf_counter() - t0,
+            )
 
-        best = best_epoch(history, es.metric)
-        if best == epoch:
-            best_params = {k: v.copy() for k, v in model.params.items()}
-        if es.enabled and epoch - best >= es.patience:
-            log.info("early stop after epoch %d; keeping epoch %d", epoch, best)
-            break
+            best = best_epoch(history, es.metric)
+            if best == epoch:
+                best_params = {k: v.copy() for k, v in model.params.items()}
+            if es.enabled and epoch - best >= es.patience:
+                log.info("early stop after epoch %d; keeping epoch %d", epoch, best)
+                break
 
     return Checkpoint(spec=config.architecture, params=best_params, hyperparams=hp, history=history, best_epoch=best)
 

@@ -169,3 +169,25 @@ class TestLayerSpecValidation:
         layer = LayerSpec("Dense", units=48)
         assert configio.dump(layer) == {"kind": "Dense", "units": 48}
         assert configio.load(LayerSpec, configio.dump(layer)) == layer
+
+    @pytest.mark.parametrize(
+        "kind, fields, stray",
+        [
+            ("Flatten", {"kernel_size": 7}, "kernel_size"),
+            ("ReLU", {"window": 2}, "window"),
+            ("Dropout", {"units": 4}, "units"),
+            ("Softmax", {"out_channels": 9}, "out_channels"),
+            ("Dense", {"units": 2, "stride": 5}, "stride"),
+            ("Conv2D", {"out_channels": 4, "kernel_size": 3, "window": 2}, "window"),
+            ("MaxPool2D", {"window": 2, "units": 3}, "units"),
+        ],
+    )
+    def test_field_its_kind_does_not_take_rejected(self, kind, fields, stray):
+        with pytest.raises(ConfigError, match=f"^{kind} layer does not take '{stray}'$"):
+            LayerSpec(kind, **fields)
+
+    def test_stray_field_in_a_file_names_its_layer(self):
+        d = configio.dump(default_architecture())
+        d["layers"][6]["kernel_size"] = 7
+        with pytest.raises(ConfigError, match=r"layers\[6\]: Flatten layer does not take 'kernel_size'"):
+            configio.load(ArchitectureSpec, d)

@@ -81,6 +81,31 @@ CONFIG_CASES = [
      "architecture: unknown key(s) 'num_classes'"),
 ]
 
+ARCH_SOFTMAX_INSIDE = json.loads(json.dumps(ARCH))
+ARCH_SOFTMAX_INSIDE["layers"][8] = {"kind": "Softmax"}
+ARCH_STRAY_FIELD = json.loads(json.dumps(ARCH))
+ARCH_STRAY_FIELD["layers"][6]["kernel_size"] = 7
+NO_MANIFEST = "{tmp}/missing.tsv"
+NO_CHECKPOINT = "{tmp}/missing.bin"
+
+# id, argv, contents of {tmp}/input.json (None: not written), exit code, what the error line names
+UNREAD_INPUT_CASES = [
+    ("train-missing-manifest", ["train", "--data", NO_MANIFEST, "--out-dir", "{tmp}/out"], None, 2, "missing.tsv"),
+    ("grid-search-scalar-axis", GRID_SEARCH, {"learning_rate": 0.1}, 1, "learning_rate: expected an array, got 0.1"),
+    ("grid-search-missing-manifest", ["grid-search", "--data", NO_MANIFEST, "--grid", "{tmp}/input.json",
+                                      "--out-dir", "{tmp}/out"], {"learning_rate": [0.01]}, 2, "missing.tsv"),
+    ("cv-missing-manifest", ["cv", "--data", NO_MANIFEST, "--out-dir", "{tmp}/out"], None, 2, "missing.tsv"),
+    ("eval-missing-checkpoint", ["eval", "--checkpoint", NO_CHECKPOINT, "--data", "{corpus}", "--out-dir",
+                                 "{tmp}/out"], None, 2, "missing.bin"),
+    ("eval-missing-manifest", ["eval", "--checkpoint", "{checkpoint}", "--data", NO_MANIFEST, "--out-dir",
+                               "{tmp}/out"], None, 2, "missing.tsv"),
+    ("predict-missing-checkpoint", ["predict", "--checkpoint", NO_CHECKPOINT, "--data", "{corpus}", "--out-dir",
+                                    "{tmp}/out"], None, 2, "missing.bin"),
+    ("grad-check-softmax-inside", GRAD_CHECK, ARCH_SOFTMAX_INSIDE, 1, "only the last layer may be a Softmax layer"),
+    ("grad-check-stray-layer-field", GRAD_CHECK, ARCH_STRAY_FIELD, 1,
+     "layers[6]: Flatten layer does not take 'kernel_size'"),
+]
+
 # id, edit of the checkpoint's JSON header, what the error line names
 CHECKPOINT_CASES = [
     ("missing-hyperparams", lambda h: h.pop("hyperparams"), "hyperparams: missing required key"),
@@ -151,6 +176,19 @@ def test_malformed_config_exits_1_with_one_line(workspace, tmp_path, capsys, arg
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: ConfigError: "), lines
     assert names in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, content, code, names", [case[1:] for case in UNREAD_INPUT_CASES], ids=[case[0] for case in UNREAD_INPUT_CASES]
+)
+def test_input_that_fails_to_load_leaves_no_out_dir(workspace, tmp_path, capsys, argv, content, code, names):
+    if content is not None:
+        (tmp_path / "input.json").write_text(json.dumps(content))
+    exit_code, lines = run_cli(argv, capsys, tmp=tmp_path, **workspace)
+    assert exit_code == code
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert names in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -342,7 +342,7 @@ def recorded_forwards(monkeypatch):
 
 
 class TestSlicedInference:
-    """Conv models forward 16-image slices on the task runner; dense-only models stay serial."""
+    """Conv models forward 8-image slices on the task runner; dense-only models stay serial."""
 
     @pytest.mark.parametrize("budget", [2, 1])
     @pytest.mark.parametrize("architecture", [default_architecture, logistic_architecture])
@@ -365,7 +365,7 @@ class TestSlicedInference:
         else:
             monkeypatch.setattr(parallel, "_openblas", lambda: None)
         predict_probs(toy_model, np.zeros((130, 12, 12, 1), dtype=np.float32))
-        assert recorded_forwards == [(threading.main_thread(), size) for size in [16] * 8 + [2]]
+        assert recorded_forwards == [(threading.main_thread(), size) for size in [8] * 16 + [2]]
 
     def test_workers_take_the_slices_and_the_caller_a_one_image_block(
         self, monkeypatch, toy_model, recorded_forwards
@@ -374,7 +374,7 @@ class TestSlicedInference:
         predict_probs(toy_model, np.zeros((129, 12, 12, 1), dtype=np.float32))
         *pooled, last = recorded_forwards
         assert last == (threading.main_thread(), 1)
-        assert sorted(size for _, size in pooled) == [16] * 8
+        assert sorted(size for _, size in pooled) == [8] * 16
         assert threading.main_thread() not in {thread for thread, _ in pooled}
 
     def test_dense_only_model_runs_whole_blocks_on_the_calling_thread(self, monkeypatch, recorded_forwards):

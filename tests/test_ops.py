@@ -4,8 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from wellqc import parallel
 from wellqc.errors import LabelError, ShapeError
 from wellqc.nn import ops
+from wellqc.parallel import split_thread
 
 
 def conv2d_reference(x, w, b, stride=1):
@@ -373,6 +375,21 @@ class TestKernelsMatchLoopOracles:
         assert_same_bits(out, want_out)
         for got, want in zip(ops.conv2d_backward(g, x, w, stride), want_grads):
             assert_same_bits(got, want)
+
+
+class TestKernelsMatchLoopOraclesWithAHelper(TestKernelsMatchLoopOracles):
+    """Every oracle case above, run again with a ``split_thread`` helper open.
+
+    The conv backward then computes its weight gradient on the helper, and a
+    non-overlapping pool of two or more images runs half of them there.
+    """
+
+    @pytest.fixture(autouse=True)
+    def helper(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: 2)
+        with split_thread():
+            assert parallel.helper_open()
+            yield
 
 
 class TestEltwiseLayers:

@@ -173,7 +173,7 @@ class TestRunnerBudget:
         else:
             run_grid(jobs=2)
         assert len(cells) == 2 and threading.main_thread() not in cells
-        assert Counter(forwards) == Counter(cells * 2)  # two slices of 40 images, each on its cell's thread
+        assert Counter(forwards) == Counter(cells * 5)  # five slices of 40 images, each on its cell's thread
         assert entered == [threading.main_thread()]
 
 

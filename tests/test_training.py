@@ -189,6 +189,26 @@ class TestTrainLoop:
             one_thread = checkpoint_bytes("one_thread.bin")
         assert checkpoint_bytes("default.bin") == one_thread
 
+    @pytest.mark.skipif(blas_count() < 2, reason="OpenBLAS runs on fewer than two threads here")
+    def test_validation_bits_do_not_follow_the_blas_thread_count(self, tmp_path):
+        corpus = generate_synthetic(seed=1, n_ok=40, n_ng=41, out_dir=tmp_path)
+        config = replace(
+            small_config(epochs=3), seed=1, split_fraction=0.8, early_stopping=EarlyStoppingConfig(enabled=False)
+        )
+        train_set, val_set = map(load_examples, split_train_val(corpus, config.split_fraction, config.seed))
+        assert len(val_set) == 65  # its last 64-image block holds one image: dense1's product is a GEMV
+
+        def run(name):
+            checkpoint = train(config, train_set, val_set)
+            checkpoint.save(tmp_path / name)
+            return [r.val_loss for r in checkpoint.history], (tmp_path / name).read_bytes()
+
+        with blas_threads(1):
+            one_thread = run("one_thread.bin")
+        default = run("default.bin")
+        assert default[0] == one_thread[0]
+        assert default[1] == one_thread[1]
+
     def test_empty_sets_rejected(self, small_split):
         train_set, val_set = small_split
         with pytest.raises(ValueError):
