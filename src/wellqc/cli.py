@@ -3,11 +3,11 @@
 Subcommands: gen, tile, train, grid-search, cv, eval, predict, grad-check.
 Config precedence is built-in defaults < --config file < --set overrides, and
 no environment variable takes part. Each command reads and checks its inputs
-(config, grid, manifest, checkpoint, architecture) before it creates its
-out-dir, so a malformed input leaves none behind; then the fully-resolved
-config is logged and written into the out-dir. Exit codes: 0 success, 1
-contract/validation failure, 2 I/O or format error. Every failure prints one
-line, "error: <type>: <message>", to stderr.
+(config, grid, manifest, checkpoint, architecture, threshold) before it
+creates its out-dir, so a malformed input leaves none behind; then the
+fully-resolved config is logged and written into the out-dir. Exit codes: 0
+success, 1 contract/validation failure, 2 I/O or format error. Every failure
+prints one line, "error: <type>: <message>", to stderr.
 
 Every JSON input (the run config with its --set overrides, a tile grid, a
 grid-search spec, a --arch file) goes through one strict loader,
@@ -33,13 +33,13 @@ import numpy as np
 from wellqc import __version__, configio
 from wellqc.errors import FormatError, GradCheckFailure, WellQcError
 from wellqc.data.augment import AUG_NONE
-from wellqc.data.manifest import DatasetManifest, load_examples, read_crop, write_manifest
+from wellqc.data.manifest import DatasetManifest, load_examples, read_crops, write_manifest
 from wellqc.data.pgm import read_pgm, write_pgm
 from wellqc.data.splits import split_train_val
 from wellqc.data.synth import DEFECT_KINDS, generate_synthetic
 from wellqc.data.tiles import ScanFrame, TileGrid, tile_scan
 from wellqc.gradcheck import grad_check
-from wellqc.metrics import emit_report, evaluate_checkpoint, predict, report_text
+from wellqc.metrics import check_threshold, emit_report, evaluate_checkpoint, predict, report_text
 from wellqc.nn.arch import ArchitectureSpec, LayerSpec
 from wellqc.nn.model import init_model
 from wellqc.training.checkpoint import Checkpoint
@@ -176,6 +176,7 @@ def cmd_cv(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_threshold(args.threshold)
     checkpoint = Checkpoint.load(args.checkpoint)
     dataset = load_examples(DatasetManifest.load(args.data))
     out_dir = _prepare_out_dir(args)
@@ -188,12 +189,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if not args.data and not args.images:
+        raise ValueError("predict needs --data or image paths")
+    if args.data and args.images:
+        raise ValueError("predict takes --data or image paths, not both")
+    check_threshold(args.threshold)
     checkpoint = Checkpoint.load(args.checkpoint)
     if args.data:
         dataset = load_examples(DatasetManifest.load(args.data))
         images, ids = dataset.images, dataset.ids
     else:
-        images = np.stack([read_crop(path)[:, :, None] for path in args.images])
+        images = read_crops(args.images)
         ids = [str(path) for path in args.images]
     out_dir = _prepare_out_dir(args)
     labels, p1 = predict(checkpoint, images, threshold=args.threshold)
@@ -296,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="labeled dataset manifest")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--method", default="CNN", help="method name in the report")
+    p.add_argument("--method", help="method name in the report (default: from the checkpoint's architecture)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -326,9 +332,6 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    if args.command == "predict" and not args.data and not args.images:
-        print("error: ValueError: predict needs --data or image paths", file=sys.stderr)
-        return EXIT_CONTRACT
     try:
         return args.func(args)
     except (FormatError, OSError) as exc:

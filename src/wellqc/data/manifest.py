@@ -9,6 +9,10 @@ A manifest is a TSV file with one record per line:
 vflip | rot180 and is applied on load, so augmented entries reference their
 source file rather than duplicating pixels on disk. A (path, augmentation)
 pair therefore identifies an example and may not repeat.
+
+``load_examples`` turns a manifest into one preallocated image batch. It
+decodes each file once, writes its augmented rows in place, and keeps no
+decoded crop after that, so a load holds the corpus once, not twice.
 """
 
 from dataclasses import dataclass, field
@@ -143,24 +147,40 @@ class Dataset:
 
 
 def load_examples(manifest: DatasetManifest) -> Dataset:
-    """Read every manifest entry into memory, applying tagged augmentations.
+    """Read every manifest entry into one batch, applying tagged augmentations.
 
     Paths are relative to the manifest's directory, or to the working
-    directory for a manifest that was not loaded from a file.
+    directory for a manifest that was not loaded from a file. The pixels
+    come from ``read_crops``, so each file is decoded once however many
+    augmentations list it, and the first unreadable file in entry order is
+    the one the error names.
     """
     base = manifest.root or Path(".")
-    n = len(manifest.entries)
-    images = np.empty((n, CROP_SIZE, CROP_SIZE, 1), dtype=np.float32)
-    labels = np.empty(n, dtype=np.int64)
-    ids = []
-    pixel_cache: dict[str, np.ndarray] = {}
-    for i, e in enumerate(manifest.entries):
-        if e.path not in pixel_cache:
-            pixel_cache[e.path] = read_crop(base / e.path)
-        images[i, :, :, 0] = augment_pixels(pixel_cache[e.path], e.aug)
-        labels[i] = e.label
-        ids.append(e.example_id)
-    return Dataset(images=images, labels=labels, ids=ids)
+    entries = manifest.entries
+    images = read_crops([base / e.path for e in entries], [e.aug for e in entries])
+    labels = np.array([e.label for e in entries], dtype=np.int64)
+    return Dataset(images=images, labels=labels, ids=[e.example_id for e in entries])
+
+
+def read_crops(paths, augs=None) -> np.ndarray:
+    """Decode crops into one (N, 111, 111, 1) float32 batch; row i is ``paths[i]`` under ``augs[i]``.
+
+    Each distinct path is decoded once, in order of its first row, and
+    written straight into each of its rows; no decoded crop outlives its
+    rows, so the batch is the only copy of the pixels. ``augs`` defaults to
+    no augmentation for every row.
+    """
+    if augs is None:
+        augs = [AUG_NONE] * len(paths)
+    images = np.empty((len(paths), CROP_SIZE, CROP_SIZE, 1), dtype=np.float32)
+    rows_of: dict = {}
+    for i, path in enumerate(paths):
+        rows_of.setdefault(path, []).append(i)
+    for path, rows in rows_of.items():
+        pixels = read_crop(path)
+        for i in rows:
+            images[i, :, :, 0] = augment_pixels(pixels, augs[i])
+    return images
 
 
 def read_crop(path) -> np.ndarray:

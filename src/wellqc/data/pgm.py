@@ -64,14 +64,14 @@ def read_pgm(path):
 
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
     expected = width * height * dtype.itemsize
-    raster = data[tok.pos : tok.pos + expected]
-    if len(raster) < expected:
+    found = min(len(data) - tok.pos, expected)
+    if found < expected:
         raise FormatError(
-            f"{path}: truncated raster: expected {expected} bytes, found {len(raster)}",
-            offset=tok.pos + len(raster),
+            f"{path}: truncated raster: expected {expected} bytes, found {found}",
+            offset=tok.pos + found,
         )
-    raw = np.frombuffer(raster, dtype=dtype).reshape(height, width)
-    return (raw.astype(np.float32) / np.float32(maxval)), maxval
+    raw = np.frombuffer(data, dtype=dtype, count=width * height, offset=tok.pos).reshape(height, width)
+    return np.divide(raw, np.float32(maxval), dtype=np.float32), maxval
 
 
 def write_pgm(pixels, path, maxval: int = 255) -> None:

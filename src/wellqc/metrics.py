@@ -20,6 +20,7 @@ import numpy as np
 
 from wellqc.configio import write_json
 from wellqc.errors import EmptyEvaluation, LabelError
+from wellqc.nn.arch import logistic_architecture
 from wellqc.nn.model import predict_probs
 
 REPORT_SCHEMA_VERSION = 1
@@ -81,6 +82,12 @@ def metrics(cm: ConfusionMatrix) -> MetricValues:
     return MetricValues(accuracy=accuracy, precision=precision, recall=recall, f1=f1)
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject a decision threshold outside [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+
+
 def predict(checkpoint, images, threshold: float = 0.5):
     """Labels and defect probabilities for a stack of images.
 
@@ -88,8 +95,7 @@ def predict(checkpoint, images, threshold: float = 0.5):
     tie at exactly ``threshold`` is called defective. At the default 0.5 this
     matches argmax except on exact ties.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    check_threshold(threshold)
     if checkpoint.spec.num_classes != 2:
         raise LabelError(f"thresholded prediction is binary; model has {checkpoint.spec.num_classes} classes")
     probs = predict_probs(checkpoint.to_model(), np.asarray(images))
@@ -141,8 +147,17 @@ class MetricsReport:
         }
 
 
+def method_name(spec) -> str:
+    """The report's name for a model: "logistic" for the baseline's architecture, "CNN" for any other."""
+    return "logistic" if spec == logistic_architecture(spec.input_shape, spec.num_classes) else "CNN"
+
+
 def evaluate_checkpoint(checkpoint, dataset, threshold: float = 0.5, method: str | None = None) -> MetricsReport:
-    """Predict over a dataset and assemble the full QC report."""
+    """Predict over a dataset and assemble the full QC report.
+
+    ``method`` names the model in the report; by default it follows the
+    checkpoint's architecture (``method_name``).
+    """
     if len(dataset) == 0:
         raise EmptyEvaluation("cannot evaluate an empty dataset")
     labels, p1 = predict(checkpoint, dataset.images, threshold)
@@ -159,7 +174,7 @@ def evaluate_checkpoint(checkpoint, dataset, threshold: float = 0.5, method: str
         for i in range(len(dataset))
     ]
     return MetricsReport(
-        method=method or "CNN",
+        method=method or method_name(checkpoint.spec),
         cm=cm,
         accuracy=vals.accuracy,
         precision=vals.precision,

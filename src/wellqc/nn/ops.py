@@ -42,6 +42,8 @@ the signed-NaN oracle case failed. With no helper open every kernel runs on
 the whole batch at once, because halving the pools there only adds calls.
 """
 
+import functools
+
 import numpy as np
 
 from wellqc.errors import LabelError, ShapeError
@@ -78,6 +80,18 @@ def _scatter_add(gx, kh, kw, stride, piece):
     return gx
 
 
+@functools.cache
+def _window_pixels(h, w, kh, kw, stride):
+    """The flat pixel index of every window cell, (OH*OW*KH*KW,) in window-view order; read-only.
+
+    Built once per shape: every conv layer calls ``_im2col`` with the same
+    shape on every step.
+    """
+    pixels = _windows(np.arange(h * w).reshape(1, h, w, 1), kh, kw, stride).reshape(-1)
+    pixels.flags.writeable = False
+    return pixels
+
+
 def _im2col(x, kh, kw, stride):
     """The windows of ``x`` (N,H,W,C) as a (N*OH*OW, KH*KW*C) matrix.
 
@@ -87,9 +101,9 @@ def _im2col(x, kh, kw, stride):
     fast at C = 1, where copying the window view of ``x`` is not.
     """
     n, h, w, c = x.shape
-    pixels = _windows(np.arange(h * w).reshape(1, h, w, 1), kh, kw, stride)
-    cols = x.reshape(n, h * w, c).take(pixels.reshape(-1), axis=1)
-    return cols.reshape(n * pixels.shape[1] * pixels.shape[2], kh * kw * c)
+    pixels = _window_pixels(h, w, kh, kw, stride)
+    cols = x.reshape(n, h * w, c).take(pixels, axis=1)
+    return cols.reshape(n * pixels.size // (kh * kw), kh * kw * c)
 
 
 def conv2d_forward(x, weights, bias, stride=1):

@@ -155,3 +155,35 @@ def test_calls_in_one_process_share_no_parsed_values(tmp_path, monkeypatch):
     ids = [[row["id"] for row in csv.DictReader(Path(d, "predictions.csv").read_text().splitlines())] for d in ("p1", "p2")]
     assert ids == [images[:3], images[3:4]]
     assert levels == [logging.INFO, logging.DEBUG] + [logging.INFO] * 3
+
+
+def unpack(files: dict[str, bytes], root: Path, prefixes) -> None:
+    """Write the files of ``files`` under any of ``prefixes`` into ``root``, at their relative paths."""
+    for name, data in files.items():
+        if name.startswith(tuple(prefixes)):
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(data)
+
+
+def test_predict_by_paths_and_by_manifest_write_the_same_probabilities(runs, tmp_path, monkeypatch):
+    unpack(runs[0], tmp_path, ["corpus/", "cnn/"])
+    monkeypatch.chdir(tmp_path)
+    paths = [line.split("\t")[0] for line in Path("corpus/manifest.tsv").read_text().splitlines()[1:]]
+    call("predict", "--checkpoint", "cnn/checkpoint.bin", "--data", "corpus/manifest.tsv", "--out-dir", "by_data")
+    call("predict", "--checkpoint", "cnn/checkpoint.bin", "--out-dir", "by_paths", *[f"corpus/{p}" for p in paths])
+    rows = [list(csv.DictReader(Path(d, "predictions.csv").read_text().splitlines())) for d in ("by_data", "by_paths")]
+    assert [r["id"] for r in rows[0]] == paths
+    assert [r["id"] for r in rows[1]] == [f"corpus/{p}" for p in paths]
+    by_data, by_paths = ([(r["predicted_label"], r["prob_defective"]) for r in rs] for rs in rows)
+    assert by_data == by_paths
+
+
+def test_eval_names_the_method_after_the_checkpoint(runs, tmp_path, monkeypatch):
+    assert json.loads(runs[0]["eval/report.json"])["method"] == "CNN"
+    unpack(runs[0], tmp_path, ["corpus/", "logistic/"])
+    monkeypatch.chdir(tmp_path)
+    call("eval", "--checkpoint", "logistic/checkpoint.bin", "--data", "corpus/manifest.tsv", "--out-dir", "eval")
+    call("eval", "--checkpoint", "logistic/checkpoint.bin", "--data", "corpus/manifest.tsv", "--out-dir", "named",
+         "--method", "baseline")
+    assert json.loads(Path("eval/report.json").read_text())["method"] == "logistic"
+    assert json.loads(Path("named/report.json").read_text())["method"] == "baseline"

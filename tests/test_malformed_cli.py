@@ -26,6 +26,7 @@ TILE = ["tile", "--frame", "{frame}", "--grid", "{tmp}/input.json", "--out-dir",
 GRAD_CHECK = ["grad-check", "--arch", "{tmp}/input.json", "--out-dir", "{tmp}/out"]
 CONFIG = [*TRAIN, "--config", "{tmp}/input.json"]
 EVAL = ["eval", "--checkpoint", "{checkpoint}", "--data", "{corpus}", "--out-dir", "{tmp}/out"]
+PREDICT = ["predict", "--checkpoint", "{checkpoint}", "--out-dir", "{tmp}/out"]
 
 TILE_GRID = {"origin_x": 0, "origin_y": 0, "pitch_x": 111, "pitch_y": 111, "rows": 1, "cols": 1}
 ARCH = configio.dump(default_architecture())
@@ -101,6 +102,12 @@ UNREAD_INPUT_CASES = [
                                "{tmp}/out"], None, 2, "missing.tsv"),
     ("predict-missing-checkpoint", ["predict", "--checkpoint", NO_CHECKPOINT, "--data", "{corpus}", "--out-dir",
                                     "{tmp}/out"], None, 2, "missing.bin"),
+    ("eval-threshold-minus-1", [*EVAL, "--threshold", "-1"], None, 1, "threshold must be in [0, 1], got -1.0"),
+    ("predict-threshold-2", [*PREDICT, "--data", "{corpus}", "--threshold", "2"], None, 1,
+     "threshold must be in [0, 1], got 2.0"),
+    ("predict-data-and-paths", [*PREDICT, "--data", "{corpus}", "{frame}"], None, 1,
+     "predict takes --data or image paths, not both"),
+    ("predict-neither-data-nor-paths", PREDICT, None, 1, "predict needs --data or image paths"),
     ("grad-check-softmax-inside", GRAD_CHECK, ARCH_SOFTMAX_INSIDE, 1, "only the last layer may be a Softmax layer"),
     ("grad-check-stray-layer-field", GRAD_CHECK, ARCH_STRAY_FIELD, 1,
      "layers[6]: Flatten layer does not take 'kernel_size'"),

@@ -392,6 +392,16 @@ class TestKernelsMatchLoopOraclesWithAHelper(TestKernelsMatchLoopOracles):
             yield
 
 
+class TestIm2col:
+    def test_index_plane_is_built_once_per_shape_and_read_only(self):
+        plane = ops._window_pixels(11, 10, 3, 3, 2)
+        assert ops._window_pixels(11, 10, 3, 3, 2) is plane
+        assert ops._window_pixels(11, 10, 3, 3, 1) is not plane
+        assert not plane.flags.writeable
+        with pytest.raises(ValueError):
+            plane[0] = 1
+
+
 class TestEltwiseLayers:
     def test_relu_definition(self):
         npt.assert_allclose(ops.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])

@@ -48,6 +48,17 @@ class TestRoundTrip:
         pixels, _ = read_pgm(path)
         assert pixels[0, 0] == pytest.approx(256 / 65535)
 
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_every_level_converts_as_a_float32_cast_then_divide(self, tmp_path, maxval):
+        levels = np.arange(maxval + 1).reshape(-1, 256)
+        path = tmp_path / "levels.pgm"
+        dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
+        path.write_bytes(f"P5\n256 {levels.shape[0]}\n{maxval}\n".encode() + levels.astype(dtype).tobytes())
+        pixels, _ = read_pgm(path)
+        expected = levels.astype(np.float32) / np.float32(maxval)
+        assert pixels.dtype == np.float32
+        assert pixels.tobytes() == expected.tobytes()
+
     def test_trailing_channel_axis_accepted_on_write(self, tmp_path):
         image = np.zeros((5, 5, 1), dtype=np.float32)
         write_pgm(image, tmp_path / "c.pgm")
