@@ -9,6 +9,9 @@ fully-resolved config is logged and written into the out-dir. Exit codes: 0
 success, 1 contract/validation failure, 2 I/O or format error. Every failure
 prints one line, "error: <type>: <message>", to stderr.
 
+Every command runs at one OpenBLAS thread (``wellqc.parallel`` states the
+rule), so its output does not depend on the host's CPU count or on --jobs.
+
 Every JSON input (the run config with its --set overrides, a tile grid, a
 grid-search spec, a --arch file) goes through one strict loader,
 ``wellqc.configio``: an unknown key, a missing required key or a value of the
@@ -42,6 +45,7 @@ from wellqc.gradcheck import grad_check
 from wellqc.metrics import check_threshold, emit_report, evaluate_checkpoint, predict, report_text
 from wellqc.nn.arch import ArchitectureSpec, LayerSpec
 from wellqc.nn.model import init_model
+from wellqc.parallel import blas_threads
 from wellqc.training.checkpoint import Checkpoint
 from wellqc.training.config import resolve_run_config
 from wellqc.training.loop import history_csv, train, train_logistic_baseline
@@ -103,7 +107,7 @@ def cmd_gen(args) -> int:
         for item in args.mix.split(","):
             kind, _, value = item.partition("=")
             mix[kind.strip()] = float(value)
-    out_dir = _prepare_out_dir(args)
+    out_dir = Path(args.out_dir)
     manifest = generate_synthetic(args.gen_seed, args.ok, args.ng, defect_mix=mix, out_dir=out_dir)
     counts = manifest.class_counts()
     print(f"gen: wrote {len(manifest.entries)} images ({counts}) and manifest.tsv to {out_dir}")
@@ -333,7 +337,8 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        return args.func(args)
+        with blas_threads():
+            return args.func(args)
     except (FormatError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_IO

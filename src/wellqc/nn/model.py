@@ -21,14 +21,12 @@ the layer names stay as written.
 Inference (``predict_probs``) walks the images in 64-image blocks. A model
 with a Conv2D layer forwards each block as 8-image slices, a shorter
 remainder joined to the slice before it, on the task runner
-(``wellqc.parallel``) with one worker per OpenBLAS thread in force; the
-runner splits the CPUs among the workers' BLAS threads, one each when there
-are at least as many slices as CPUs. Cut this way, every row keeps
-the bits of one forward of its whole block. A one-image block stays on the
-calling thread: its dense product is a GEMV, whose bits follow the BLAS
-thread count. The loss is still one mean per 64-image block. Dense-only
-models run each block whole and serially, because their wide products change
-bits with the row count and the BLAS thread count.
+(``wellqc.parallel``) with one worker per CPU. Cut this way, every row keeps
+the bits of one forward of its whole block at one OpenBLAS thread, the count
+every command runs at (``wellqc.parallel``). The loss is still one mean per
+64-image block. Dense-only models forward each block whole and serially:
+their wide products change bits with the row count, and on a pool they ran
+slower.
 
 Slices hold 8 images, not 16, which halves the activations each worker holds
 at once. In a process that had trained with ``train``'s split helper
@@ -41,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from wellqc import parallel
 from wellqc.errors import EmptyEvaluation, ShapeError
 from wellqc.nn import ops
 from wellqc.nn.arch import KINDS, ArchitectureSpec
-from wellqc.parallel import blas_count, run_tasks
 
 TRAIN = "train"
 INFER = "infer"
@@ -190,13 +188,11 @@ def predict_probs(model: Model, images, labels=None, batch_size: int = 64):
     """Class probabilities for a stack of images, evaluated in infer mode.
 
     This is the one batched inference loop. It walks the images in blocks of
-    ``batch_size``. A model with a Conv2D layer forwards each block of two
-    or more images as SLICE-image slices (``_slices``) on the task runner,
-    with as many workers as OpenBLAS has threads in force (1 when its
-    control is not found, so the slices run serially). A one-image block,
-    and every block of a model without a Conv2D layer, is forwarded whole on
-    the calling thread at the BLAS count in force. Each row is bit-identical
-    to one model_forward of its block; the module docstring says why.
+    ``batch_size``. A model with a Conv2D layer forwards each block as
+    SLICE-image slices (``_slices``) on the task runner, one worker per CPU;
+    every block of a model without a Conv2D layer is forwarded whole on the
+    calling thread. Each row is bit-identical to one model_forward of its
+    block; the module docstring says why.
 
     With ``labels`` it returns (probabilities, mean cross-entropy). Each
     block's loss is taken from its concatenated log-probabilities, and the
@@ -214,8 +210,8 @@ def predict_probs(model: Model, images, labels=None, batch_size: int = 64):
 
     blocks = [(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
     conv = any(layer.kind == "Conv2D" for layer in model.spec.layers)
-    plans = [_slices(start, stop) if conv and stop - start > 1 else [] for start, stop in blocks]
-    pooled = iter(run_tasks(forward, [s for plan in plans for s in plan], blas_count()))
+    plans = [_slices(start, stop) if conv else [] for start, stop in blocks]
+    pooled = iter(parallel.run_tasks(forward, [s for plan in plans for s in plan], parallel._cpu_count()))
     chunks, total_ce = [], 0.0
     for (start, stop), plan in zip(blocks, plans):
         parts = [next(pooled) for _ in plan] if plan else [forward(start, stop)]

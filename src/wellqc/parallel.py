@@ -1,21 +1,21 @@
-"""The task runner: independent tasks on one thread pool that shares OpenBLAS's threads.
+"""Parallel work, and the one OpenBLAS thread rule that keeps its bits fixed.
 
-Grid cells, CV folds (``training.search``) and inference slices
-(``nn.model.predict_probs``) all run here. N > 1 workers share OpenBLAS's
-process-global thread count. It is set once around the pool to their share
-of the CPUs, never above its current value, logged, and restored
-afterwards, also on error. One worker leaves it untouched.
+``wellqc.cli.main`` runs every command inside ``blas_threads()``, so each
+OpenBLAS call computes on one thread and its bits depend neither on the host
+nor on how many calls run at once: ``--jobs 1`` matches ``--jobs N``.
+Parallel work comes only from this module:
+- ``run_tasks`` runs grid cells, CV folds and inference slices on a thread
+  pool. It runs serially on a runner thread, so a grid cell's predictions
+  open no second pool, and while the caller has a helper open, so ``train``'s
+  validation stays on its thread (on a pool it raised ``train``'s peak RSS by
+  more than a third).
+- ``split_thread`` opens one helper thread for its caller, and ``both`` runs
+  one of two independent parts there (``wellqc.nn.ops`` splits the conv
+  backward and the non-overlapping pools this way while ``train`` runs). The
+  helper is a runner thread.
 
-A task that runs on a runner thread runs any runner call it makes serially,
-on its own thread: a grid cell's predictions open no second pool. Only the
-thread that opened the one pool sets the count: ``blas_threads`` on a runner
-thread leaves it as is.
-
-Inside one kernel, ``split_thread`` opens a single helper thread for the
-thread that enters it, and ``both`` runs one of two independent parts there
-(``wellqc.nn.ops`` splits the conv backward and the non-overlapping pools
-this way while ``train`` runs). The helper is a runner thread, so a grid cell
-or a fold, which already runs on one, opens none and runs both parts itself.
+A library caller that skips ``cli.main`` runs at the OpenBLAS count it has
+set, and some products, a dense-only model's among them, change bits with it.
 """
 
 import contextvars
@@ -49,28 +49,21 @@ def _openblas():
     return get, set_
 
 
-def blas_count() -> int:
-    """OpenBLAS's thread count in force, or 1 when its thread control is not found."""
-    control = _openblas()
-    return 1 if control is None else control[0]()
-
-
 @contextmanager
-def blas_threads(n: int):
-    """Run the body with OpenBLAS on ``n`` threads, at least 1 and at most its current count.
+def blas_threads():
+    """Run the body with OpenBLAS on one thread; restore its count afterwards, also on error.
 
-    The count is process-global: enter this once around a pool, not per worker.
-    On a runner thread the body runs at the count the pool's opener set.
+    The count is process-global: enter this once around a command, not per
+    thread. Without numpy's OpenBLAS thread control the body runs as is.
     """
-    control = None if getattr(_runner_thread, "active", False) else _openblas()
+    control = _openblas()
     if control is None:
-        log.debug("on a runner thread, or numpy's OpenBLAS thread control not found; the thread count is left as is")
+        log.debug("numpy's OpenBLAS thread control not found; the thread count is left as is")
         yield
         return
     get, set_ = control
     old = get()
-    set_(max(1, min(n, old)))
-    log.debug("OpenBLAS threads %d -> %d", old, get())
+    set_(1)
     try:
         yield
     finally:
@@ -85,21 +78,23 @@ def _mark_runner_thread():
     _runner_thread.active = True
 
 
-def run_tasks(fn, tasks, jobs: int) -> list:
-    """``[fn(*task) for task in tasks]``, on up to ``jobs`` threads that share the CPUs' BLAS threads.
+def _serial() -> bool:
+    """Whether the calling thread is a runner thread or has a helper open."""
+    return getattr(_runner_thread, "active", False) or helper_open()
 
-    One task, one job, or a call from a task already on a runner thread runs
-    serially on the calling thread.
+
+def run_tasks(fn, tasks, jobs: int) -> list:
+    """``[fn(*task) for task in tasks]``, on up to ``jobs`` threads.
+
+    One task, one job, a call from a runner thread, or a call while the
+    calling thread has a helper open runs serially on the calling thread.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(tasks))
-    if workers <= 1 or getattr(_runner_thread, "active", False):
+    if workers <= 1 or _serial():
         return [fn(*task) for task in tasks]
-    with (
-        blas_threads(max(1, _cpu_count() // workers)),
-        ThreadPoolExecutor(max_workers=workers, initializer=_mark_runner_thread) as pool,
-    ):
+    with ThreadPoolExecutor(max_workers=workers, initializer=_mark_runner_thread) as pool:
         return list(pool.map(lambda task: fn(*task), tasks))
 
 
@@ -112,12 +107,11 @@ def helper_open() -> bool:
 def split_thread():
     """Open one helper thread for the ``both`` calls of the calling thread; close it on exit.
 
-    Nothing opens on a runner thread (the helper included), where a helper is
-    already open, or on fewer than 2 CPUs: there ``both`` runs serially. The
-    helper is a runner thread, so ``blas_threads`` and ``run_tasks`` on it
-    keep the count and run serially, as on any worker.
+    Nothing opens where ``run_tasks`` runs serially (on a runner thread, the
+    helper included, or with a helper open) or on fewer than 2 CPUs: there
+    ``both`` runs serially.
     """
-    if getattr(_runner_thread, "active", False) or helper_open() or _cpu_count() < 2:
+    if _serial() or _cpu_count() < 2:
         yield
         return
     with ThreadPoolExecutor(1, thread_name_prefix="wellqc-split", initializer=_mark_runner_thread) as helper:

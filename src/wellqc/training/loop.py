@@ -5,14 +5,10 @@ the L2 penalty); the pure cross-entropy component is kept alongside it.
 Validation loss is pure cross-entropy, which is also what early stopping
 monitors by default.
 
-Every epoch, validation included, runs OpenBLAS on one thread (on a runner
-thread, at its pool's count). conv2's weight gradient changes bits with the
-thread count at some odd batch sizes, and so does a one-image validation
-block, whose dense product is a GEMV. A validation pass at two BLAS threads
-also wakes OpenBLAS's worker, which then spins on the second core through the
-batches that follow. The second core instead serves ``split_thread``'s helper:
-the conv backward computes its weight gradient there, and the pools run half
-of their images there (``wellqc.nn.ops``), with the same bits as on one thread.
+The epoch loop opens one ``split_thread`` helper (``wellqc.parallel``): the
+conv backward computes its weight gradient there, and the pools run half of
+their images there (``wellqc.nn.ops``), with the same bits as on one thread.
+Validation runs on the calling thread while the helper is open.
 
 Epoch wall time is measured for the run log only: it is not part of an
 EpochRecord, so identically-configured runs serialize to identical bytes.
@@ -28,7 +24,7 @@ from wellqc.errors import NonFiniteGradient
 from wellqc.nn.arch import logistic_architecture
 from wellqc.nn.model import TRAIN, Model, init_model, model_backward, model_forward, model_loss, predict_probs
 from wellqc.optim import adam_step, apply_l2, init_adam_state, l2_penalty
-from wellqc.parallel import blas_threads, split_thread
+from wellqc.parallel import split_thread
 from wellqc.training.checkpoint import HISTORY_COLUMNS, Checkpoint, EpochRecord
 from wellqc.training.config import RunConfig
 
@@ -89,7 +85,7 @@ def train(config: RunConfig, train_set, val_set):
     n = len(train_set)
     history: list[EpochRecord] = []
 
-    with blas_threads(1), split_thread():
+    with split_thread():
         for epoch in range(1, hp.epochs + 1):
             t0 = time.perf_counter()
             order = rng.permutation(n)

@@ -6,10 +6,9 @@ to one 32-bit integer (kind 0 = grid cell, kind 1 = CV fold). Tasks share
 nothing mutable, so running them serially or across N workers produces
 identical results.
 
-Cells and folds run on the task runner in ``wellqc.parallel``: N > 1 jobs
-share one thread pool and OpenBLAS's process-global thread count, set to
-their share of the CPUs around the pool. Results do not depend on it. A
-cell's or fold's own predictions run serially on its thread.
+Cells and folds run on the task runner in ``wellqc.parallel``, whose thread
+rule keeps their bits the same on any number of workers; a cell's or fold's
+own predictions run serially on its thread.
 """
 
 import itertools

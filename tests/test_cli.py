@@ -13,8 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wellqc import parallel
 from wellqc.cli import main
 from wellqc.data.pgm import read_pgm, write_pgm
+from wellqc.parallel import blas_threads
 from wellqc.training.checkpoint import Checkpoint
 
 FIXED_EPOCHS = ["--set", "hyperparams.epochs=2", "--set", "early_stopping.enabled=false"]
@@ -106,6 +108,31 @@ def test_grid_search_jobs_1_matches_jobs_2(runs, name):
 
 def test_cross_validation_jobs_1_matches_jobs_2(runs):
     assert runs[0]["cv1/cv_report.json"] == runs[0]["cv2/cv_report.json"]
+
+
+def test_grid_search_jobs_1_matches_jobs_2_on_a_host_with_more_cpus(tmp_path, monkeypatch):
+    """With 8 CPUs each of two workers once trained at 4 OpenBLAS threads, where --jobs 1 trains at one."""
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 8)
+    monkeypatch.chdir(tmp_path)
+    call("gen", "--seed", "1", "--ok", "48", "--ng", "49", "--out-dir", "corpus")
+    Path("hp_grid.json").write_text(json.dumps({"learning_rate": [0.001, 0.003]}))
+    for jobs in ("1", "2"):
+        call("grid-search", "--data", "corpus/manifest.tsv", "--grid", "hp_grid.json", "--seed", "1",
+             "--set", "hyperparams.epochs=3", "--set", "early_stopping.enabled=false",
+             "--jobs", jobs, "--out-dir", f"grid{jobs}")
+    assert Path("grid1/grid_results.json").read_bytes() == Path("grid2/grid_results.json").read_bytes()
+
+
+def test_logistic_eval_does_not_follow_the_callers_blas_thread_count(tmp_path, monkeypatch, several_blas_threads):
+    """The logistic model's 160-row product changed bits between one and two OpenBLAS threads."""
+    monkeypatch.chdir(tmp_path)
+    call("gen", "--seed", "3", "--ok", "80", "--ng", "80", "--out-dir", "corpus")
+    data = ["--data", "corpus/manifest.tsv"]
+    call("train", "--model", "logistic", *data, "--out-dir", "logistic", *FIXED_EPOCHS)
+    call("eval", "--checkpoint", "logistic/checkpoint.bin", *data, "--out-dir", "default")
+    with blas_threads():
+        call("eval", "--checkpoint", "logistic/checkpoint.bin", *data, "--out-dir", "one_thread")
+    assert Path("default/report.json").read_bytes() == Path("one_thread/report.json").read_bytes()
 
 
 def test_early_stopping_keeps_the_best_epoch(runs, tmp_path):

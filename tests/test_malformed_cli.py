@@ -91,6 +91,10 @@ NO_CHECKPOINT = "{tmp}/missing.bin"
 
 # id, argv, contents of {tmp}/input.json (None: not written), exit code, what the error line names
 UNREAD_INPUT_CASES = [
+    ("gen-ok-minus-1", ["gen", "--seed", "1", "--ok", "-1", "--ng", "1", "--out-dir", "{tmp}/out"], None, 1,
+     "image counts must be >= 0, got ok=-1, ng=1"),
+    ("gen-mix-below-1", ["gen", "--seed", "1", "--ok", "1", "--ng", "1", "--mix", "scratch_line=0.4",
+                         "--out-dir", "{tmp}/out"], None, 1, "defect mix must sum to 1, got 0.4"),
     ("train-missing-manifest", ["train", "--data", NO_MANIFEST, "--out-dir", "{tmp}/out"], None, 2, "missing.tsv"),
     ("grid-search-scalar-axis", GRID_SEARCH, {"learning_rate": 0.1}, 1, "learning_rate: expected an array, got 0.1"),
     ("grid-search-missing-manifest", ["grid-search", "--data", NO_MANIFEST, "--grid", "{tmp}/input.json",

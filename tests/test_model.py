@@ -21,6 +21,7 @@ from wellqc.nn.model import (
     model_loss,
     predict_probs,
 )
+from wellqc.parallel import blas_threads, helper_open, split_thread
 
 
 def toy_spec(h=12, w=12):
@@ -344,41 +345,44 @@ def recorded_forwards(monkeypatch):
 class TestSlicedInference:
     """Conv models forward 8-image slices on the task runner; dense-only models stay serial."""
 
-    @pytest.mark.parametrize("budget", [2, 1])
-    @pytest.mark.parametrize("architecture", [default_architecture, logistic_architecture])
-    def test_bits_match_one_forward_per_block(self, monkeypatch, crops, architecture, budget):
-        model = init_model(architecture(), np.random.default_rng(32), mode=INFER)
-        monkeypatch.setattr(nn_model, "blas_count", lambda: budget)
-        images, labels = crops
-        for n in SLICED_SIZES:
-            want_probs, want_ce = one_forward_per_block(model, images[:n], labels[:n])
-            probs, ce = predict_probs(model, images[:n], labels[:n])
-            assert probs.tobytes() == want_probs.tobytes(), n
-            assert ce == want_ce, n
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the CPU count that predict_probs sizes its workers by."""
+        return lambda n: monkeypatch.setattr(parallel, "_cpu_count", lambda: n)
 
-    @pytest.mark.parametrize("serial", ["budget 1", "no OpenBLAS control"])
-    def test_serial_budget_runs_every_slice_on_the_calling_thread(
-        self, monkeypatch, toy_model, recorded_forwards, serial
-    ):
-        if serial == "budget 1":
-            monkeypatch.setattr(nn_model, "blas_count", lambda: 1)
+    @pytest.mark.parametrize("cpu_count", [2, 1])
+    @pytest.mark.parametrize("architecture", [default_architecture, logistic_architecture])
+    def test_bits_match_one_forward_per_block(self, cpus, crops, architecture, cpu_count):
+        model = init_model(architecture(), np.random.default_rng(32), mode=INFER)
+        cpus(cpu_count)
+        images, labels = crops
+        with blas_threads():
+            for n in SLICED_SIZES:
+                want_probs, want_ce = one_forward_per_block(model, images[:n], labels[:n])
+                probs, ce = predict_probs(model, images[:n], labels[:n])
+                assert probs.tobytes() == want_probs.tobytes(), n
+                assert ce == want_ce, n
+
+    @pytest.mark.parametrize("serial", ["one CPU", "helper open"])
+    def test_serial_runner_runs_every_slice_on_the_calling_thread(self, cpus, toy_model, recorded_forwards, serial):
+        if serial == "one CPU":
+            cpus(1)
+            predict_probs(toy_model, np.zeros((130, 12, 12, 1), dtype=np.float32))
         else:
-            monkeypatch.setattr(parallel, "_openblas", lambda: None)
-        predict_probs(toy_model, np.zeros((130, 12, 12, 1), dtype=np.float32))
+            cpus(2)
+            with split_thread():
+                assert helper_open()
+                predict_probs(toy_model, np.zeros((130, 12, 12, 1), dtype=np.float32))
         assert recorded_forwards == [(threading.main_thread(), size) for size in [8] * 16 + [2]]
 
-    def test_workers_take_the_slices_and_the_caller_a_one_image_block(
-        self, monkeypatch, toy_model, recorded_forwards
-    ):
-        monkeypatch.setattr(nn_model, "blas_count", lambda: 2)
+    def test_workers_take_every_slice_a_one_image_block_included(self, cpus, toy_model, recorded_forwards):
+        cpus(2)
         predict_probs(toy_model, np.zeros((129, 12, 12, 1), dtype=np.float32))
-        *pooled, last = recorded_forwards
-        assert last == (threading.main_thread(), 1)
-        assert sorted(size for _, size in pooled) == [8] * 16
-        assert threading.main_thread() not in {thread for thread, _ in pooled}
+        assert sorted(size for _, size in recorded_forwards) == [1] + [8] * 16
+        assert threading.main_thread() not in {thread for thread, _ in recorded_forwards}
 
-    def test_dense_only_model_runs_whole_blocks_on_the_calling_thread(self, monkeypatch, recorded_forwards):
+    def test_dense_only_model_runs_whole_blocks_on_the_calling_thread(self, cpus, recorded_forwards):
         model = init_model(logistic_architecture(input_shape=(12, 12, 1)), np.random.default_rng(0), mode=INFER)
-        monkeypatch.setattr(nn_model, "blas_count", lambda: 2)
+        cpus(2)
         predict_probs(model, np.zeros((130, 12, 12, 1), dtype=np.float32))
         assert recorded_forwards == [(threading.main_thread(), size) for size in (64, 64, 2)]

@@ -11,7 +11,7 @@ from wellqc import parallel
 from wellqc.errors import NonFiniteGradient
 from wellqc.nn import model as nn_model
 from wellqc.nn import ops
-from wellqc.parallel import blas_count, both, helper_open, run_tasks, split_thread
+from wellqc.parallel import both, helper_open, run_tasks, split_thread
 from wellqc.training import loop
 from wellqc.training.config import default_run_config
 
@@ -175,15 +175,17 @@ class TestTrainOpensOneHelper:
             loop.train(tiny_config(), *small_split)
         assert seen and not seen[0].is_alive() and helper_threads() == []
 
-    @pytest.mark.skipif(blas_count() < 2, reason="OpenBLAS runs on fewer than two threads here")
-    def test_validation_runs_at_one_blas_thread(self, small_split, monkeypatch):
-        counts = []
+    def test_validation_runs_on_the_calling_thread_with_the_helper_open(self, two_cpus, small_split, monkeypatch):
+        """Fanning validation out to the runner's workers raised ``train``'s peak RSS by more than a third."""
+        seen = []
+        real = nn_model.model_forward
 
-        def recording():
-            counts.append(blas_count())
-            return counts[-1]
+        def recording(model, batch, rng=None):
+            seen.append((threading.current_thread(), helper_open(), len(batch)))
+            return real(model, batch, rng)
 
-        monkeypatch.setattr(nn_model, "blas_count", recording)
-        loop.train(tiny_config(), *small_split)
-        assert counts == [1]
-        assert blas_count() >= 2
+        monkeypatch.setattr(nn_model, "model_forward", recording)  # predict_probs's forwards only
+        train_set, val_set = small_split
+        loop.train(tiny_config(), train_set, val_set)
+        assert len(seen) >= 2 and sum(size for *_, size in seen) == len(val_set)
+        assert {(thread, open_) for thread, open_, _ in seen} == {(threading.main_thread(), True)}

@@ -1,4 +1,4 @@
-"""The task runner behind grid search and cross-validation, its BLAS thread budget, and corpus decoding in CV."""
+"""The task runner behind grid search and cross-validation, the one-thread OpenBLAS block, and corpus decoding in CV."""
 
 import threading
 from collections import Counter
@@ -7,19 +7,23 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from wellqc import parallel
+from wellqc import cli, parallel
 from wellqc.cli import main
 from wellqc.data import manifest
 from wellqc.data.pgm import read_pgm
 from wellqc.nn import model as nn_model
 from wellqc.nn.arch import default_architecture
 from wellqc.nn.model import INFER, init_model, predict_probs
-from wellqc.parallel import blas_count, blas_threads
+from wellqc.parallel import blas_threads
 from wellqc.training import search
 from wellqc.training.config import default_run_config
 from wellqc.training.search import GridSpec, cross_validate, grid_search
 
 needs_openblas = pytest.mark.skipif(parallel._openblas() is None, reason="numpy's bundled OpenBLAS not found")
+
+
+def blas_count() -> int:
+    return parallel._openblas()[0]()
 
 
 class FakeBlas:
@@ -66,95 +70,101 @@ def run_grid(jobs, cells=2):
 class TestBlasThreads:
     def test_restores_after_normal_exit(self):
         start = blas_count()
-        with blas_threads(1):
+        with blas_threads():
             assert blas_count() == 1
         assert blas_count() == start
 
     def test_restores_when_body_raises(self):
         start = blas_count()
         with pytest.raises(RuntimeError, match="body"):
-            with blas_threads(1):
+            with blas_threads():
                 raise RuntimeError("body")
         assert blas_count() == start
 
-    def test_never_raises_the_current_count(self):
-        start = blas_count()
-        with blas_threads(start + 5):
-            assert blas_count() == start
-        with blas_threads(0):
-            assert blas_count() == 1
 
-    def test_nesting_restores_the_outer_value(self):
-        start = blas_count()
-        with blas_threads(2):
-            outer = blas_count()
-            with blas_threads(1):
-                assert blas_count() == 1
-            assert blas_count() == outer
-        assert blas_count() == start
+def test_sets_one_thread_from_any_count_and_nests(monkeypatch):
+    fake = FakeBlas(16)
+    monkeypatch.setattr(parallel, "_openblas", lambda: (fake.get, fake.set))
+    with blas_threads():
+        assert fake.count == 1
+        with blas_threads():
+            assert fake.count == 1
+        assert fake.count == 1
+    assert fake.count == 16
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_every_command_runs_at_one_thread(monkeypatch, tmp_path, fails):
+    fake = FakeBlas(16)
+    monkeypatch.setattr(parallel, "_openblas", lambda: (fake.get, fake.set))
+    seen = []
+
+    def fake_generate(*args, **kwargs):
+        seen.append(fake.count)
+        if fails:
+            raise ValueError("gen")
+        return SimpleNamespace(entries=[], class_counts=dict)
+
+    monkeypatch.setattr(cli, "generate_synthetic", fake_generate)
+    assert main(["gen", "--seed", "1", "--ok", "1", "--ng", "1", "--out-dir", str(tmp_path)]) == int(fails)
+    assert seen == [1]
+    assert fake.count == 16
 
 
 def test_missing_library_runs_the_body_unchanged(monkeypatch, recording_train):
     monkeypatch.setattr(parallel, "_openblas", lambda: None)
     ran = []
-    with blas_threads(1):
+    with blas_threads():
         ran.append(True)
     assert ran == [True]
     ranked, _ = run_grid(jobs=2)
     assert [r.failed for r in ranked] == [False, False]
 
 
-@needs_openblas
-class TestRunnerBudget:
+class TestRunner:
+    """Workers run at the count in force, which the runner leaves as it found it."""
+
     @pytest.fixture(autouse=True)
-    def start(self):
-        start = blas_count()
-        yield start
-        assert blas_count() == start
+    def fake(self, monkeypatch):
+        fake = FakeBlas(16)
+        monkeypatch.setattr(parallel, "_openblas", lambda: (fake.get, fake.set))
+        monkeypatch.setattr(parallel, "_cpu_count", lambda: 8)
+        yield fake
+        assert fake.count == 16
 
-    def pooled(self, start):
-        return min(start, max(1, parallel._cpu_count() // 2))
-
-    def test_grid_search_jobs_2_shares_the_cpus(self, start, recording_train):
+    def test_grid_search_jobs_2_runs_cells_on_workers(self, recording_train):
         run_grid(jobs=2)
-        assert [count for _, count in recording_train] == [self.pooled(start)] * 2
+        assert [count for _, count in recording_train] == [16, 16]
         assert all(thread is not threading.main_thread() for thread, _ in recording_train)
 
-    def test_grid_search_jobs_1_leaves_the_count(self, start, recording_train):
+    def test_grid_search_jobs_1_runs_cells_on_the_caller(self, recording_train):
         run_grid(jobs=1)
-        assert recording_train == [(threading.main_thread(), start)] * 2
+        assert recording_train == [(threading.main_thread(), 16)] * 2
 
-    def test_cross_validate_jobs_2_shares_the_cpus(self, start, recording_train, stub_fold_io, small_corpus):
+    def test_cross_validate_jobs_2_runs_folds_on_workers(self, recording_train, stub_fold_io, small_corpus):
         report = cross_validate(default_run_config(), small_corpus, k=2, jobs=2)
         assert len(report.folds) == 2
-        assert [count for _, count in recording_train] == [self.pooled(start)] * 2
+        assert [count for _, count in recording_train] == [16, 16]
+        assert all(thread is not threading.main_thread() for thread, _ in recording_train)
 
-    def test_cross_validate_jobs_1_leaves_the_count(self, start, recording_train, stub_fold_io, small_corpus):
+    def test_cross_validate_jobs_1_runs_folds_on_the_caller(self, recording_train, stub_fold_io, small_corpus):
         cross_validate(default_run_config(), small_corpus, k=2, jobs=1)
-        assert [count for _, count in recording_train] == [start] * 2
+        assert recording_train == [(threading.main_thread(), 16)] * 2
 
-    def test_count_restored_when_a_task_raises(self, monkeypatch):
-        def failing_train(config, train_set, val_set):
-            raise RuntimeError("task")
-
-        monkeypatch.setattr(search, "train", failing_train)
-        with pytest.raises(RuntimeError, match="task"):
-            run_grid(jobs=2)
+    def test_one_task_runs_serially_whatever_jobs_says(self, recording_train):
+        run_grid(jobs=4, cells=1)
+        assert recording_train == [(threading.main_thread(), 16)]
 
     @pytest.mark.parametrize("raises", [False, True])
     def test_predictions_in_grid_cells_open_no_nested_pool(self, monkeypatch, raises):
         conv = init_model(default_architecture(), np.random.default_rng(0), mode=INFER)
         images = np.random.default_rng(1).random((40, 111, 111, 1), dtype=np.float32)
-        cells, forwards, entered = [], [], []
-        real_forward, real_blas_threads = nn_model.model_forward, parallel.blas_threads
+        cells, forwards = [], []
+        real_forward = nn_model.model_forward
 
         def recording_forward(model, batch, rng=None):
             forwards.append(threading.current_thread())
             return real_forward(model, batch, rng)
-
-        def recording_blas_threads(n):
-            entered.append(threading.current_thread())
-            return real_blas_threads(n)
 
         def predicting_train(config, train_set, val_set):
             cells.append(threading.current_thread())
@@ -163,9 +173,7 @@ class TestRunnerBudget:
                 raise RuntimeError("task")
             return SimpleNamespace(best_epoch=1, history=[SimpleNamespace(val_loss=0.5, val_accuracy=0.5)])
 
-        monkeypatch.setattr(nn_model, "blas_count", lambda: 2)  # as if each cell had two BLAS threads
         monkeypatch.setattr(nn_model, "model_forward", recording_forward)
-        monkeypatch.setattr(parallel, "blas_threads", recording_blas_threads)
         monkeypatch.setattr(search, "train", predicting_train)
         if raises:
             with pytest.raises(RuntimeError, match="task"):
@@ -174,36 +182,6 @@ class TestRunnerBudget:
             run_grid(jobs=2)
         assert len(cells) == 2 and threading.main_thread() not in cells
         assert Counter(forwards) == Counter(cells * 5)  # five slices of 40 images, each on its cell's thread
-        assert entered == [threading.main_thread()]
-
-
-def test_budget_is_sized_by_the_task_count(monkeypatch, recording_train):
-    fake = FakeBlas(16)
-    monkeypatch.setattr(parallel, "_openblas", lambda: (fake.get, fake.set))
-    monkeypatch.setattr(parallel, "_cpu_count", lambda: 8)
-    run_grid(jobs=8, cells=2)
-    assert [count for _, count in recording_train] == [4, 4]
-    assert fake.count == 16
-
-
-def test_one_task_runs_serially_whatever_jobs_says(monkeypatch, recording_train):
-    fake = FakeBlas(16)
-    monkeypatch.setattr(parallel, "_openblas", lambda: (fake.get, fake.set))
-    run_grid(jobs=4, cells=1)
-    assert recording_train == [(threading.main_thread(), 16)]
-
-
-def test_blas_threads_on_a_runner_thread_keeps_the_pool_count(monkeypatch):
-    fake = FakeBlas(16)
-    monkeypatch.setattr(parallel, "_openblas", lambda: (fake.get, fake.set))
-    monkeypatch.setattr(parallel, "_cpu_count", lambda: 8)
-
-    def task():
-        with blas_threads(1):
-            return fake.count
-
-    assert parallel.run_tasks(task, [(), ()], jobs=2) == [4, 4]
-    assert fake.count == 16
 
 
 @pytest.mark.parametrize("jobs", [0, -2])

@@ -7,13 +7,14 @@ import numpy.testing as npt
 import pytest
 
 from wellqc import configio
-from wellqc.data.manifest import Dataset, load_examples
+from wellqc.cli import main
+from wellqc.data.manifest import Dataset
 from wellqc.data.splits import split_train_val
 from wellqc.data.synth import generate_synthetic
 from wellqc.errors import NonFiniteGradient
 from wellqc.nn import ops
 from wellqc.nn.model import init_model
-from wellqc.parallel import blas_count, blas_threads
+from wellqc.parallel import blas_threads
 from wellqc.training.checkpoint import HISTORY_COLUMNS, EpochRecord
 from wellqc.training.config import EarlyStoppingConfig, default_run_config
 from wellqc.training.loop import (
@@ -174,40 +175,36 @@ class TestTrainLoop:
         r = train(config, train_set, val_set).history[0]
         assert r.train_loss > r.train_ce >= 0.0
 
-    @pytest.mark.skipif(blas_count() < 2, reason="OpenBLAS runs on fewer than two threads here")
-    def test_checkpoint_bits_do_not_follow_the_blas_thread_count(self, tmp_path):
-        corpus = generate_synthetic(seed=1, n_ok=48, n_ng=49, out_dir=tmp_path)
-        config = replace(small_config(epochs=3), seed=1, early_stopping=EarlyStoppingConfig(enabled=False))
-        train_set, val_set = map(load_examples, split_train_val(corpus, config.split_fraction, config.seed))
-        assert len(train_set) % config.hyperparams.batch_size == 13  # an odd last batch: conv2's weight GEMM
+    @staticmethod
+    def train_through_the_cli(tmp_path, *settings):
+        """``wellqc train`` on tmp_path/corpus, at the caller's OpenBLAS count and in a one-thread block.
 
-        def checkpoint_bytes(name):
-            train(config, train_set, val_set).save(tmp_path / name)
-            return (tmp_path / name).read_bytes()
-
-        with blas_threads(1):
-            one_thread = checkpoint_bytes("one_thread.bin")
-        assert checkpoint_bytes("default.bin") == one_thread
-
-    @pytest.mark.skipif(blas_count() < 2, reason="OpenBLAS runs on fewer than two threads here")
-    def test_validation_bits_do_not_follow_the_blas_thread_count(self, tmp_path):
-        corpus = generate_synthetic(seed=1, n_ok=40, n_ng=41, out_dir=tmp_path)
-        config = replace(
-            small_config(epochs=3), seed=1, split_fraction=0.8, early_stopping=EarlyStoppingConfig(enabled=False)
-        )
-        train_set, val_set = map(load_examples, split_train_val(corpus, config.split_fraction, config.seed))
-        assert len(val_set) == 65  # its last 64-image block holds one image: dense1's product is a GEMV
-
+        Returns each run's (history.csv, checkpoint.bin) bytes.
+        """
         def run(name):
-            checkpoint = train(config, train_set, val_set)
-            checkpoint.save(tmp_path / name)
-            return [r.val_loss for r in checkpoint.history], (tmp_path / name).read_bytes()
+            argv = ["train", "--data", str(tmp_path / "corpus" / "manifest.tsv"), "--out-dir", str(tmp_path / name),
+                    "--seed", "1", "--set", "hyperparams.epochs=3", "--set", "early_stopping.enabled=false"]
+            assert main([*argv, *settings]) == 0
+            return [(tmp_path / name / f).read_bytes() for f in ("history.csv", "checkpoint.bin")]
 
-        with blas_threads(1):
-            one_thread = run("one_thread.bin")
-        default = run("default.bin")
-        assert default[0] == one_thread[0]
-        assert default[1] == one_thread[1]
+        default = run("default")
+        with blas_threads():
+            return default, run("one_thread")
+
+    def test_checkpoint_bits_do_not_follow_the_blas_thread_count(self, tmp_path, several_blas_threads):
+        corpus = generate_synthetic(seed=1, n_ok=48, n_ng=49, out_dir=tmp_path / "corpus")
+        config = default_run_config()
+        train_m, _ = split_train_val(corpus, config.split_fraction, seed=1)
+        assert len(train_m.entries) % config.hyperparams.batch_size == 13  # an odd last batch: conv2's weight GEMM
+        default, one_thread = self.train_through_the_cli(tmp_path)
+        assert default == one_thread
+
+    def test_validation_bits_do_not_follow_the_blas_thread_count(self, tmp_path, several_blas_threads):
+        corpus = generate_synthetic(seed=1, n_ok=40, n_ng=41, out_dir=tmp_path / "corpus")
+        _, val_m = split_train_val(corpus, 0.8, seed=1)
+        assert len(val_m.entries) == 65  # its last 64-image block holds one image: dense1's product is a GEMV
+        default, one_thread = self.train_through_the_cli(tmp_path, "--set", "split_fraction=0.8")
+        assert default == one_thread
 
     def test_empty_sets_rejected(self, small_split):
         train_set, val_set = small_split
