@@ -34,21 +34,22 @@ from pathlib import Path
 import numpy as np
 
 from wellqc import __version__, configio
-from wellqc.errors import FormatError, GradCheckFailure, WellQcError
+from wellqc.errors import EmptyEvaluation, FormatError, GradCheckFailure, NonFiniteGradient, ShapeError, WellQcError
 from wellqc.data.augment import AUG_NONE
 from wellqc.data.manifest import DatasetManifest, load_examples, read_crops, write_manifest
 from wellqc.data.pgm import read_pgm, write_pgm
-from wellqc.data.splits import split_train_val
+from wellqc.data.splits import kfold_split, split_train_val
 from wellqc.data.synth import DEFECT_KINDS, generate_synthetic
 from wellqc.data.tiles import ScanFrame, TileGrid, tile_scan
+from wellqc.data.wells import CROP_SIZE
 from wellqc.gradcheck import grad_check
-from wellqc.metrics import check_threshold, emit_report, evaluate_checkpoint, predict, report_text
+from wellqc.metrics import check_threshold, emit_report, evaluate_checkpoint, method_name, predict, report_text
 from wellqc.nn.arch import ArchitectureSpec, LayerSpec
 from wellqc.nn.model import init_model
 from wellqc.parallel import blas_threads
 from wellqc.training.checkpoint import Checkpoint
 from wellqc.training.config import resolve_run_config
-from wellqc.training.loop import history_csv, train, train_logistic_baseline
+from wellqc.training.loop import history_csv, train
 from wellqc.training.search import GridSpec, cross_validate, grid_search, grid_table_csv
 
 log = logging.getLogger("wellqc")
@@ -74,7 +75,11 @@ def _resolve_config(args):
     overrides = list(args.overrides or [])
     if getattr(args, "seed", None) is not None:
         overrides.append(f"seed={args.seed}")
-    return resolve_run_config(args.config, overrides)
+    config = resolve_run_config(args.config, overrides)
+    shape, crop_shape = config.architecture.input_shape, (CROP_SIZE, CROP_SIZE, 1)
+    if shape != crop_shape:
+        raise ShapeError(f"architecture.input_shape {shape} does not match the crops' {crop_shape}")
+    return config
 
 
 def _prepare_out_dir(args, config=None) -> Path:
@@ -132,16 +137,18 @@ def cmd_tile(args) -> int:
 
 def cmd_train(args) -> int:
     config = _resolve_config(args)
+    if args.model == "logistic":
+        config = config.as_logistic_baseline()
     train_set, val_set = _load_split(args, config)
     out_dir = _prepare_out_dir(args, config)
-    trainer = train_logistic_baseline if args.model == "logistic" else train
-    checkpoint = trainer(config, train_set, val_set)
+    checkpoint = train(config, train_set, val_set)
     ckpt_path = out_dir / "checkpoint.bin"
     checkpoint.save(ckpt_path)
     (out_dir / "history.csv").write_text(history_csv(checkpoint.history), encoding="utf-8")
     best = checkpoint.history[checkpoint.best_epoch - 1]
     print(
-        f"train[{args.model}]: {len(checkpoint.history)} epochs, best epoch {checkpoint.best_epoch} "
+        f"train[{method_name(config.architecture)}]: {len(checkpoint.history)} epochs, "
+        f"best epoch {checkpoint.best_epoch} "
         f"(val_loss={best.val_loss:.4f}, val_accuracy={best.val_accuracy:.4f}) -> {ckpt_path}"
     )
     return EXIT_OK
@@ -156,6 +163,8 @@ def cmd_grid_search(args) -> int:
     results, best_config = grid_search(grid, config, train_set, val_set, jobs=args.jobs)
     (out_dir / "grid_results.csv").write_text(grid_table_csv(results), encoding="utf-8")
     configio.write_json(out_dir / "grid_results.json", [asdict(r) for r in results])
+    if best_config is None:
+        raise NonFiniteGradient("every grid cell failed; see the result table")
     configio.write_json(out_dir / "best_config.json", configio.dump(best_config))
     top = results[0]
     print(
@@ -170,8 +179,9 @@ def cmd_cv(args) -> int:
     _check_at_least(args, "k", 2)
     config = _resolve_config(args)
     manifest = DatasetManifest.load(args.data)
+    pairs = kfold_split(manifest, args.k, config.seed)
     out_dir = _prepare_out_dir(args, config)
-    report = cross_validate(config, manifest, args.k, jobs=args.jobs)
+    report = cross_validate(config, manifest, pairs, jobs=args.jobs)
     configio.write_json(out_dir / "cv_report.json", asdict(report))
     acc = report.mean.get("accuracy", float("nan"))
     std = report.std.get("accuracy", float("nan"))
@@ -183,6 +193,8 @@ def cmd_eval(args) -> int:
     check_threshold(args.threshold)
     checkpoint = Checkpoint.load(args.checkpoint)
     dataset = load_examples(DatasetManifest.load(args.data))
+    if len(dataset) == 0:
+        raise EmptyEvaluation("cannot evaluate an empty dataset")
     out_dir = _prepare_out_dir(args)
     report = evaluate_checkpoint(checkpoint, dataset, threshold=args.threshold, method=args.method)
     for fmt, name in (("json", "report.json"), ("csv", "report.csv"), ("text", "report.txt")):
@@ -236,6 +248,8 @@ def _toy_architecture() -> ArchitectureSpec:
 
 def cmd_grad_check(args) -> int:
     _check_at_least(args, "batch", 1)
+    if not args.tolerance > 0:
+        raise ValueError(f"--tolerance must be > 0, got {args.tolerance}")
     arch = configio.load_file(ArchitectureSpec, args.arch) if args.arch else _toy_architecture()
     rng = np.random.default_rng(args.check_seed)
     model = init_model(arch, rng)  # validates the architecture

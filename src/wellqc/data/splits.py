@@ -25,7 +25,7 @@ def _make(manifest: DatasetManifest, entries) -> DatasetManifest:
 def split_train_val(manifest: DatasetManifest, fraction: float, seed: int):
     """Stratified split; each class sends round(fraction * n) examples to val.
 
-    Returns (train, val): disjoint, exhaustive, shuffled by ``seed``.
+    Returns (train, val): disjoint, exhaustive, non-empty, shuffled by ``seed``.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
@@ -38,6 +38,11 @@ def split_train_val(manifest: DatasetManifest, fraction: float, seed: int):
         n_val = int(round(fraction * len(entries)))
         val_entries.extend(entries[i] for i in order[:n_val])
         train_entries.extend(entries[i] for i in order[n_val:])
+    if not train_entries or not val_entries:
+        raise EmptyClass(
+            f"fraction {fraction} leaves {len(train_entries)} training and {len(val_entries)} validation "
+            "examples; both need at least one"
+        )
     return _make(manifest, train_entries), _make(manifest, val_entries)
 
 

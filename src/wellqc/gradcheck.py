@@ -18,6 +18,8 @@ from wellqc.errors import GradCheckFailure
 from wellqc.nn.model import INFER, Model, model_backward, model_forward, model_loss
 
 REL_ERR_FLOOR = 1e-3
+H = 1e-5  # finite-difference step
+MAX_COORDS_PER_PARAM = 24  # coordinates sampled per parameter tensor
 
 
 def relative_error(analytic: float, numeric: float) -> float:
@@ -64,15 +66,7 @@ class GradCheckReport:
         }
 
 
-def grad_check(
-    model: Model,
-    batch,
-    labels,
-    h: float = 1e-5,
-    tolerance: float = 1e-6,
-    max_coords_per_param: int = 24,
-    seed: int = 0,
-) -> GradCheckReport:
+def grad_check(model: Model, batch, labels, tolerance: float = 1e-6) -> GradCheckReport:
     """Compare backprop with central differences; raises GradCheckFailure.
 
     Intended for small models (a few thousand parameters); each sampled
@@ -90,26 +84,26 @@ def grad_check(
         _, c = model_forward(check, batch)
         return model_loss(c, labels)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)  # a rerun checks the same coordinates
     per_param: dict[str, float] = {}
     coords_checked: dict[str, int] = {}
     for key in check.params:
         theta = check.params[key]
         flat = theta.reshape(-1)
         n = flat.size
-        if n <= max_coords_per_param:
+        if n <= MAX_COORDS_PER_PARAM:
             coords = np.arange(n)
         else:
-            coords = rng.choice(n, size=max_coords_per_param, replace=False)
+            coords = rng.choice(n, size=MAX_COORDS_PER_PARAM, replace=False)
         worst = 0.0
         a_flat = analytic[key].reshape(-1)
         for i in coords:
-            numeric = central_difference(loss, flat, int(i), h)
+            numeric = central_difference(loss, flat, int(i), H)
             worst = max(worst, relative_error(float(a_flat[i]), numeric))
         per_param[key] = worst
         coords_checked[key] = len(coords)
 
-    report = GradCheckReport(per_param=per_param, coords_checked=coords_checked, h=h, tolerance=tolerance)
+    report = GradCheckReport(per_param=per_param, coords_checked=coords_checked, h=H, tolerance=tolerance)
     if not report.passed:
         raise GradCheckFailure(
             f"gradient mismatch above {tolerance:g} in: {', '.join(report.failing_params())}",

@@ -46,6 +46,7 @@ from wellqc.nn.arch import KINDS, ArchitectureSpec
 
 TRAIN = "train"
 INFER = "infer"
+BLOCK = 64  # images per inference block
 SLICE = 8  # images per inference slice
 
 
@@ -184,11 +185,11 @@ def _slices(start: int, stop: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:] + [stop]))
 
 
-def predict_probs(model: Model, images, labels=None, batch_size: int = 64):
+def predict_probs(model: Model, images, labels=None):
     """Class probabilities for a stack of images, evaluated in infer mode.
 
     This is the one batched inference loop. It walks the images in blocks of
-    ``batch_size``. A model with a Conv2D layer forwards each block as
+    BLOCK images. A model with a Conv2D layer forwards each block as
     SLICE-image slices (``_slices``) on the task runner, one worker per CPU;
     every block of a model without a Conv2D layer is forwarded whole on the
     calling thread. Each row is bit-identical to one model_forward of its
@@ -208,7 +209,7 @@ def predict_probs(model: Model, images, labels=None, batch_size: int = 64):
         probs, cache = model_forward(frozen, images[start:stop])
         return probs, cache[-1][1]
 
-    blocks = [(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
+    blocks = [(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK)]
     conv = any(layer.kind == "Conv2D" for layer in model.spec.layers)
     plans = [_slices(start, stop) if conv else [] for start, stop in blocks]
     pooled = iter(parallel.run_tasks(forward, [s for plan in plans for s in plan], parallel._cpu_count()))

@@ -20,26 +20,24 @@ of the image; the result is returned as one NHWC copy. Its forward adds the
 bias along rows of OW * C_out values. Pooling's forward is a running maximum,
 with no argmax; its tie rule lives in the backward pass, which routes each
 gradient to the first cell, in row-major window order, that equals the
-window's output. With stride == window (the shipped model) the windows do not
-overlap: the backward writes the routed pieces into one contiguous
-(KH, KW, N, OH, OW, C) buffer and stores it with one copy through a
+window's output. Every pool writes the routed pieces into one contiguous
+(KH, KW, N, OH, OW, C) buffer. With stride == window (the shipped model) the
+windows do not overlap, and the buffer is stored with one copy through a
 (N, OH, KH, OW, KW, C) block view of the input gradient. Any other stride
-goes through ``_scatter_add``, which sums the pieces of overlapping windows.
+sums the buffer through ``_scatter_add``.
 
 Three kernels use a ``wellqc.parallel.split_thread`` helper when the calling
 thread has one open (``train`` does), each with the bits it has on one thread:
 - ``conv2d_backward`` computes the input gradient on the caller and the weight
   and bias gradients on the helper. They are separate GEMMs of unchanged shape.
-- The pools with stride == window, given N >= 2 images, run each half of the
-  batch on its own thread, into one output the caller allocates. Each image's
-  windows are its own, so the halves hold the same values as one pass.
+- The pools, given N >= 2 images, run each half of the batch on its own
+  thread, into buffers the caller allocates. Each image's windows are its own,
+  so the halves hold the same values as one pass. An overlapping pool sums its
+  pieces on the caller once both halves are done.
 The conv forward is not split: cut by rows, its GEMM changed bits, since at
-small shapes they depend on the row count. Overlapping pools are not split
-either: their backward adds the pieces of neighbouring windows, and where two
-NaNs meet, the sign of the sum's NaN depends on which of numpy's add loops
-(vector or scalar) takes the element. A half batch moves that boundary, and
-the signed-NaN oracle case failed. With no helper open every kernel runs on
-the whole batch at once, because halving the pools there only adds calls.
+small shapes they depend on the row count. With no helper open every kernel
+runs on the whole batch at once, because halving the pools there only adds
+calls.
 """
 
 import functools
@@ -69,14 +67,14 @@ def _windows(x, kh, kw, stride):
     return view[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
 
 
-def _scatter_add(gx, kh, kw, stride, piece):
+def _scatter_add(gx, pieces, stride):
     """Add every window's gradient into ``gx``, one position at a time in row-major order.
 
-    ``piece(dy, dx)`` is the (N, OH, OW, C) gradient each window sends to its cell (dy, dx).
+    ``pieces[dy, dx]`` is the (N, OH, OW, C) gradient each window sends to its cell (dy, dx).
     """
-    oh, ow = conv_output_hw(gx.shape[1], gx.shape[2], kh, kw, stride)
+    kh, kw, _, oh, ow, _ = pieces.shape
     for dy, dx in np.ndindex(kh, kw):
-        gx[:, dy : dy + (oh - 1) * stride + 1 : stride, dx : dx + (ow - 1) * stride + 1 : stride] += piece(dy, dx)
+        gx[:, dy : dy + (oh - 1) * stride + 1 : stride, dx : dx + (ow - 1) * stride + 1 : stride] += pieces[dy, dx]
     return gx
 
 
@@ -151,7 +149,7 @@ def conv2d_backward(grad_out, cached_input, weights, stride=1):
         # Channels-first, so that every scatter-add runs along W instead of over C_in values.
         gcols = (weights.reshape(kh * kw * cin, cout) @ gflat.T).reshape(kh, kw, cin, n, oh, ow)
         gx = np.zeros((cin, n, h, w), gcols.dtype).transpose(1, 2, 3, 0)
-        _scatter_add(gx, kh, kw, stride, lambda dy, dx: gcols[dy, dx].transpose(1, 2, 3, 0))
+        _scatter_add(gx, gcols.transpose(0, 1, 3, 4, 5, 2), stride)
         return np.ascontiguousarray(gx)
 
     gx, (gw, gb) = both(input_grad, weight_grads)
@@ -162,13 +160,13 @@ def conv2d_backward(grad_out, cached_input, weights, stride=1):
 # max pooling
 # ---------------------------------------------------------------------------
 
-def _by_halves(n, split, part):
+def _by_halves(n, part):
     """Run ``part(images)`` once over all ``n`` images, or over each image half.
 
-    Halves run when ``split`` holds, a helper is open and N >= 2; the second
-    half runs on the helper thread.
+    Halves run when a helper is open and N >= 2; the second half runs on the
+    helper thread.
     """
-    if split and n >= 2 and helper_open():
+    if n >= 2 and helper_open():
         both(lambda: part(slice(0, n // 2)), lambda: part(slice(n // 2, n)))
     else:
         part(slice(None))
@@ -189,7 +187,7 @@ def maxpool2d_forward(x, window, stride=None):
             else:
                 np.maximum(cell, out[images], out=out[images])
 
-    _by_halves(len(x), stride == window, running_max)
+    _by_halves(len(x), running_max)
     return out
 
 
@@ -203,31 +201,28 @@ def maxpool2d_backward(grad_out, cache, input_shape, window, stride=None):
     x, out = cache
     stride = window if stride is None else stride
     wins = _windows(x, window, window, stride)
-    unrouted = np.ones(out.shape, dtype=bool)
-
-    def first_max(images, dy, dx):
-        hit = wins[images, :, :, dy, dx, :] == out[images]
-        hit &= unrouted[images]
-        np.logical_xor(unrouted[images], hit, out=unrouted[images])  # hit is a subset of unrouted
-        return hit
-
-    gx = np.zeros(input_shape, grad_out.dtype)
-    if stride != window:
-        return _scatter_add(gx, window, window, stride, lambda dy, dx: grad_out * first_max(slice(None), dy, dx))
-    # No overlap, so each cell takes one piece: write them all contiguously,
-    # then store them with one copy through the (N, OH, KH, OW, KW, C) block view of gx.
     n, oh, ow, c = out.shape
+    unrouted = np.ones(out.shape, dtype=bool)
     pieces = np.empty((window, window, n, oh, ow, c), grad_out.dtype)
-    blocks = gx[:, : oh * window, : ow * window].reshape(n, oh, window, ow, window, c, copy=False)
+    gx = np.zeros(input_shape, grad_out.dtype)
+    # Without overlap each cell takes one piece: each half stores its pieces with
+    # one copy through the (N, OH, KH, OW, KW, C) block view of gx.
+    blocks = None
+    if stride == window:
+        blocks = gx[:, : oh * window, : ow * window].reshape(n, oh, window, ow, window, c, copy=False)
 
     def route(images):
         for dy, dx in np.ndindex(window, window):
-            np.multiply(grad_out[images], first_max(images, dy, dx), out=pieces[dy, dx, images])
-        pieces[:, :, images] += 0  # -0 becomes +0, as 0 + v does in the scatter
-        blocks[images] = pieces[:, :, images].transpose(2, 3, 0, 4, 1, 5)
+            hit = wins[images, :, :, dy, dx, :] == out[images]
+            hit &= unrouted[images]
+            np.logical_xor(unrouted[images], hit, out=unrouted[images])  # hit is a subset of unrouted
+            np.multiply(grad_out[images], hit, out=pieces[dy, dx, images])
+        if blocks is not None:
+            pieces[:, :, images] += 0  # -0 becomes +0, as 0 + v does in the scatter
+            blocks[images] = pieces[:, :, images].transpose(2, 3, 0, 4, 1, 5)
 
-    _by_halves(n, True, route)
-    return gx
+    _by_halves(n, route)
+    return gx if blocks is not None else _scatter_add(gx, pieces, stride)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ Parallel work comes only from this module:
   more than a third).
 - ``split_thread`` opens one helper thread for its caller, and ``both`` runs
   one of two independent parts there (``wellqc.nn.ops`` splits the conv
-  backward and the non-overlapping pools this way while ``train`` runs). The
-  helper is a runner thread.
+  backward and the pools this way while ``train`` runs). The helper is a
+  runner thread.
 
 A library caller that skips ``cli.main`` runs at the OpenBLAS count it has
 set, and some products, a dense-only model's among them, change bits with it.

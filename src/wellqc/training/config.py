@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from wellqc import configio
 from wellqc.errors import ConfigError
-from wellqc.nn.arch import ArchitectureSpec, default_architecture
+from wellqc.nn.arch import ArchitectureSpec, default_architecture, logistic_architecture
 from wellqc.optim import Hyperparams
 
 
@@ -50,6 +50,11 @@ class RunConfig:
 
     def with_hyperparams(self, **updates) -> "RunConfig":
         return replace(self, hyperparams=replace(self.hyperparams, **updates))
+
+    def as_logistic_baseline(self) -> "RunConfig":
+        """The comparison baseline: the logistic architecture at dropout 0, everything else unchanged."""
+        arch = logistic_architecture(self.architecture.input_shape, self.architecture.num_classes)
+        return replace(self, architecture=arch).with_hyperparams(dropout_rate=0.0)
 
 
 def default_run_config() -> RunConfig:

@@ -16,12 +16,9 @@ EpochRecord, so identically-configured runs serialize to identical bytes.
 
 import logging
 import time
-from dataclasses import replace
-
 import numpy as np
 
 from wellqc.errors import NonFiniteGradient
-from wellqc.nn.arch import logistic_architecture
 from wellqc.nn.model import TRAIN, Model, init_model, model_backward, model_forward, model_loss, predict_probs
 from wellqc.optim import adam_step, apply_l2, init_adam_state, l2_penalty
 from wellqc.parallel import split_thread
@@ -136,19 +133,3 @@ def train(config: RunConfig, train_set, val_set):
 
     return Checkpoint(spec=config.architecture, params=best_params, hyperparams=hp, history=history, best_epoch=best)
 
-
-def train_logistic_baseline(config: RunConfig, train_set, val_set):
-    """The comparison baseline: softmax regression on raw pixels.
-
-    Identical training machinery with the architecture fixed to
-    Flatten -> Dense(num_classes) -> Softmax and no dropout; loss, optimizer,
-    and L2 are unchanged, so it differs from the main model only in
-    architecture.
-    """
-    arch = logistic_architecture(config.architecture.input_shape, config.architecture.num_classes)
-    logistic_config = replace(
-        config,
-        architecture=arch,
-        hyperparams=replace(config.hyperparams, dropout_rate=0.0),
-    )
-    return train(logistic_config, train_set, val_set)

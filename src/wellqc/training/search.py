@@ -11,6 +11,8 @@ rule keeps their bits the same on any number of workers; a cell's or fold's
 own predictions run serially on its thread.
 """
 
+import csv
+import io
 import itertools
 import logging
 from dataclasses import dataclass, fields, replace
@@ -19,7 +21,6 @@ import numpy as np
 
 from wellqc.errors import NonFiniteGradient, WellQcError
 from wellqc.data.manifest import load_examples
-from wellqc.data.splits import kfold_split
 from wellqc.metrics import evaluate_checkpoint
 from wellqc.parallel import run_tasks
 from wellqc.training.config import RunConfig
@@ -96,7 +97,7 @@ def grid_search(grid: GridSpec, base_config: RunConfig, train_set, val_set, jobs
 
     Ranking: validation accuracy (desc), then validation loss (asc), then
     cell order. Failed cells rank last and carry their error instead of
-    aborting the sweep.
+    aborting the sweep; when every cell failed the best config is None.
     """
     cells = grid.cells(base_config.hyperparams)
     tasks = [(i, values, base_config, train_set, val_set) for i, values in enumerate(cells)]
@@ -110,20 +111,21 @@ def grid_search(grid: GridSpec, base_config: RunConfig, train_set, val_set, jobs
     ranked = sorted(results, key=rank_key)
     best = next((r for r in ranked if not r.failed), None)
     if best is None:
-        raise NonFiniteGradient("every grid cell failed; see the result table")
-    best_config = replace(base_config.with_hyperparams(**best.values), seed=best.seed)
-    return ranked, best_config
+        return ranked, None
+    return ranked, replace(base_config.with_hyperparams(**best.values), seed=best.seed)
 
 
 def grid_table_csv(results) -> str:
-    lines = [",".join(("rank", "index", *GRID_AXES, "val_accuracy", "val_loss", "best_epoch", "error"))]
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(("rank", "index", *GRID_AXES, "val_accuracy", "val_loss", "best_epoch", "error"))
     for rank, r in enumerate(results, start=1):
         acc = "" if r.val_accuracy is None else f"{r.val_accuracy:.6f}"
         loss = "" if r.val_loss is None else f"{r.val_loss:.6f}"
         best = "" if r.best_epoch is None else str(r.best_epoch)
         axes = (str(r.values[axis]) for axis in GRID_AXES)
-        lines.append(",".join((str(rank), str(r.index), *axes, acc, loss, best, r.error or "")))
-    return "\n".join(lines) + "\n"
+        writer.writerow((str(rank), str(r.index), *axes, acc, loss, best, r.error or ""))
+    return table.getvalue()
 
 
 @dataclass
@@ -164,13 +166,12 @@ def _run_fold(fold: int, base_config: RunConfig, corpus, train_rows, val_rows) -
     )
 
 
-def cross_validate(config: RunConfig, manifest, k: int, jobs: int = 1) -> CvReport:
-    """Train k independent models on stratified folds and aggregate metrics.
+def cross_validate(config: RunConfig, manifest, pairs, jobs: int = 1) -> CvReport:
+    """Train one model per (train, val) pair of ``kfold_split`` and aggregate metrics.
 
     The corpus is decoded once; each fold copies out its own rows when it
     starts, so at most ``jobs`` folds' copies are held at a time.
     """
-    pairs = kfold_split(manifest, k, config.seed)
     corpus = load_examples(manifest)
     row = {e: i for i, e in enumerate(manifest.entries)}
     tasks = [

@@ -135,6 +135,16 @@ def test_logistic_eval_does_not_follow_the_callers_blas_thread_count(tmp_path, m
     assert Path("default/report.json").read_bytes() == Path("one_thread/report.json").read_bytes()
 
 
+def test_logistic_resolved_config_reruns_to_the_same_checkpoint(tmp_path, monkeypatch):
+    """The resolved config of ``train --model logistic`` names the logistic model, so it re-runs without --model."""
+    monkeypatch.chdir(tmp_path)
+    call("gen", "--seed", "1", "--ok", "6", "--ng", "6", "--out-dir", "corpus")
+    data = ["--data", "corpus/manifest.tsv"]
+    call("train", "--model", "logistic", *data, "--out-dir", "logistic", *FIXED_EPOCHS)
+    call("train", *data, "--config", "logistic/resolved_config.json", "--out-dir", "rerun")
+    assert Path("rerun/checkpoint.bin").read_bytes() == Path("logistic/checkpoint.bin").read_bytes()
+
+
 def test_early_stopping_keeps_the_best_epoch(runs, tmp_path):
     rows = list(csv.DictReader(runs[0]["cnn_es/history.csv"].decode().splitlines()))
     assert len(rows) < EARLY_STOPPING["hyperparams"]["epochs"]

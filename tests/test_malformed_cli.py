@@ -86,6 +86,9 @@ ARCH_SOFTMAX_INSIDE = json.loads(json.dumps(ARCH))
 ARCH_SOFTMAX_INSIDE["layers"][8] = {"kind": "Softmax"}
 ARCH_STRAY_FIELD = json.loads(json.dumps(ARCH))
 ARCH_STRAY_FIELD["layers"][6]["kernel_size"] = 7
+SHAPE_64 = ["--set", "architecture.input_shape=[64,64,1]"]
+SHAPE_64_NAMES = "architecture.input_shape (64, 64, 1) does not match the crops' (111, 111, 1)"
+NO_VALIDATION = "fraction 0.2 leaves 4 training and 0 validation examples; both need at least one"
 NO_MANIFEST = "{tmp}/missing.tsv"
 NO_CHECKPOINT = "{tmp}/missing.bin"
 
@@ -115,6 +118,17 @@ UNREAD_INPUT_CASES = [
     ("grad-check-softmax-inside", GRAD_CHECK, ARCH_SOFTMAX_INSIDE, 1, "only the last layer may be a Softmax layer"),
     ("grad-check-stray-layer-field", GRAD_CHECK, ARCH_STRAY_FIELD, 1,
      "layers[6]: Flatten layer does not take 'kernel_size'"),
+    # 0.2 of 2 images per class rounds to 0
+    ("train-split-leaves-no-validation", ["train", "--data", "{tiny}", "--out-dir", "{tmp}/out"], None, 1,
+     NO_VALIDATION),
+    ("grid-search-split-leaves-no-validation", ["grid-search", "--data", "{tiny}", "--grid", "{tmp}/input.json",
+                                                "--out-dir", "{tmp}/out"], {"learning_rate": [0.01]}, 1, NO_VALIDATION),
+    ("cv-k-above-a-class", [*CV, "--k", "5"], None, 1, "class 0 has 4 examples; need at least k=5"),
+    ("eval-empty-manifest", ["eval", "--checkpoint", "{checkpoint}", "--data", "{empty}", "--out-dir", "{tmp}/out"],
+     None, 1, "cannot evaluate an empty dataset"),
+    ("train-input-shape-64", [*TRAIN, *SHAPE_64], None, 1, SHAPE_64_NAMES),
+    ("grid-search-input-shape-64", [*GRID_SEARCH, *SHAPE_64], {"learning_rate": [0.01]}, 1, SHAPE_64_NAMES),
+    ("cv-input-shape-64", [*CV, "--k", "2", *SHAPE_64], None, 1, SHAPE_64_NAMES),
 ]
 
 # id, edit of the checkpoint's JSON header, what the error line names
@@ -150,14 +164,22 @@ COUNT_CASES = [
     ("grad-check-batch-0", ["grad-check", "--out-dir", "{tmp}/out", "--batch", "0"], "--batch must be >= 1, got 0"),
     ("grad-check-batch-minus-1", ["grad-check", "--out-dir", "{tmp}/out", "--batch", "-1"],
      "--batch must be >= 1, got -1"),
+    ("grad-check-tolerance-0", ["grad-check", "--out-dir", "{tmp}/out", "--tolerance", "0"],
+     "--tolerance must be > 0, got 0.0"),
+    ("grad-check-tolerance-minus-1", ["grad-check", "--out-dir", "{tmp}/out", "--tolerance", "-1"],
+     "--tolerance must be > 0, got -1.0"),
+    ("grad-check-tolerance-nan", ["grad-check", "--out-dir", "{tmp}/out", "--tolerance", "nan"],
+     "--tolerance must be > 0, got nan"),
 ]
 
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """A small corpus, a one-well frame and a trained logistic checkpoint."""
+    """A small corpus, a tiny one, an empty manifest, a one-well frame and a trained logistic checkpoint."""
     root = tmp_path_factory.mktemp("workspace")
     assert main(["gen", "--seed", "1", "--ok", "4", "--ng", "4", "--out-dir", str(root / "corpus")]) == 0
+    assert main(["gen", "--seed", "2", "--ok", "2", "--ng", "2", "--out-dir", str(root / "tiny")]) == 0
+    (root / "empty.tsv").write_text("#wellqc-manifest v1 num_classes=2\n")
     assert main([
         "train", "--model", "logistic", "--data", str(root / "corpus" / "manifest.tsv"),
         "--out-dir", str(root / "model"), "--set", "hyperparams.epochs=1",
@@ -165,6 +187,8 @@ def workspace(tmp_path_factory):
     write_pgm(np.zeros((111, 111)), root / "frame.pgm")
     return {
         "corpus": str(root / "corpus" / "manifest.tsv"),
+        "tiny": str(root / "tiny" / "manifest.tsv"),
+        "empty": str(root / "empty.tsv"),
         "frame": str(root / "frame.pgm"),
         "checkpoint": str(root / "model" / "checkpoint.bin"),
     }

@@ -285,19 +285,11 @@ class TestInit:
 
 
 class TestPredictProbs:
-    def test_batching_does_not_change_results(self, toy_model):
-        # chunk size may change BLAS kernel choice, so compare values, not bits
-        rng = np.random.default_rng(11)
-        images = rng.random((10, 12, 12, 1), dtype=np.float32)
-        whole = predict_probs(toy_model, images, batch_size=64)
-        chunked = predict_probs(toy_model, images, batch_size=3)
-        npt.assert_allclose(whole, chunked, atol=1e-6)
-
-    def test_fixed_chunk_size_is_bit_reproducible(self, toy_model):
+    def test_bit_reproducible(self, toy_model):
         rng = np.random.default_rng(12)
         images = rng.random((10, 12, 12, 1), dtype=np.float32)
-        a = predict_probs(toy_model, images, batch_size=4)
-        b = predict_probs(toy_model, images, batch_size=4)
+        a = predict_probs(toy_model, images)
+        b = predict_probs(toy_model, images)
         npt.assert_array_equal(a, b)
 
     def test_zero_images_give_an_empty_row_stack(self, toy_model):

@@ -290,7 +290,7 @@ POOL_INPUTS = [
 class TestKernelsMatchLoopOracles:
     """The window-view kernels against the original loop kernels, bit for bit."""
 
-    @pytest.mark.parametrize("window, stride", [(2, 2), (2, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("window, stride", [(2, 2), (2, 1), (3, 2), (3, 3), (2, 3)])
     @pytest.mark.parametrize("name, x", POOL_INPUTS, ids=[name for name, _ in POOL_INPUTS])
     def test_maxpool_forward_and_backward(self, name, x, window, stride):
         out = ops.maxpool2d_forward(x, window, stride)
@@ -299,7 +299,7 @@ class TestKernelsMatchLoopOracles:
         assert_same_bits(out, want_out)
         assert_same_bits(ops.maxpool2d_backward(g, (x, out), x.shape, window, stride), want_gx)
 
-    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 3), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 3), (2, 1), (3, 2), (2, 3)])
     @pytest.mark.parametrize("side", [(109, 109), (7, 9)])
     def test_maxpool_backward_with_signed_zero_and_non_finite_gradients(self, side, window, stride):
         rng = np.random.default_rng(18)
@@ -381,7 +381,7 @@ class TestKernelsMatchLoopOraclesWithAHelper(TestKernelsMatchLoopOracles):
     """Every oracle case above, run again with a ``split_thread`` helper open.
 
     The conv backward then computes its weight gradient on the helper, and a
-    non-overlapping pool of two or more images runs half of them there.
+    pool of two or more images runs half of them there.
     """
 
     @pytest.fixture(autouse=True)

@@ -102,7 +102,7 @@ class TestBoth:
 
 
 class TestWhichKernelsSplit:
-    """Only the conv backward and the non-overlapping pools of two or more images call ``both``."""
+    """Only the conv backward and the pools of two or more images call ``both``."""
 
     @pytest.fixture
     def both_calls(self, monkeypatch):
@@ -121,15 +121,15 @@ class TestWhichKernelsSplit:
         out = ops.maxpool2d_forward(x, window, stride)
         ops.maxpool2d_backward(np.ones(out.shape, np.float32), (x, out), x.shape, window, stride)
 
-    def test_non_overlapping_pools_split_with_a_helper(self, two_cpus, both_calls):
+    @pytest.mark.parametrize("window, stride", [(2, 2), (3, 2), (2, 1)])
+    def test_pools_of_two_images_split_with_a_helper(self, two_cpus, both_calls, window, stride):
         with split_thread():
-            self.run_kernels(2, 2, 2)
+            self.run_kernels(2, window, stride)
         assert len(both_calls) == 2
 
-    @pytest.mark.parametrize("n, window, stride", [(1, 2, 2), (2, 3, 2), (2, 2, 1)])
-    def test_one_image_and_overlapping_pools_do_not(self, two_cpus, both_calls, n, window, stride):
+    def test_one_image_pool_does_not(self, two_cpus, both_calls):
         with split_thread():
-            self.run_kernels(n, window, stride)
+            self.run_kernels(1, 2, 2)
         assert both_calls == []
 
     def test_pools_do_not_split_without_a_helper(self, both_calls):

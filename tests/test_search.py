@@ -1,5 +1,7 @@
 """The task runner behind grid search and cross-validation, the one-thread OpenBLAS block, and corpus decoding in CV."""
 
+import csv
+import json
 import threading
 from collections import Counter
 from types import SimpleNamespace
@@ -11,6 +13,8 @@ from wellqc import cli, parallel
 from wellqc.cli import main
 from wellqc.data import manifest
 from wellqc.data.pgm import read_pgm
+from wellqc.data.splits import kfold_split
+from wellqc.errors import NonFiniteGradient
 from wellqc.nn import model as nn_model
 from wellqc.nn.arch import default_architecture
 from wellqc.nn.model import INFER, init_model, predict_probs
@@ -59,6 +63,24 @@ def stub_fold_io(monkeypatch):
     monkeypatch.setattr(search, "load_examples", lambda manifest: SimpleNamespace(subset=lambda rows: rows))
     report = SimpleNamespace(accuracy=0.5, precision=None, recall=None, f1=None)
     monkeypatch.setattr(search, "evaluate_checkpoint", lambda checkpoint, val_set: report)
+
+
+def test_grid_whose_every_cell_fails_writes_its_table_and_exits_1(tmp_path, monkeypatch, capsys):
+    def diverge(config, train_set, val_set):
+        raise NonFiniteGradient("epoch 1, batch 0: non-finite gradient")
+
+    monkeypatch.setattr(search, "train", diverge)
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--seed", "1", "--ok", "6", "--ng", "6", "--out-dir", "corpus"]) == 0
+    (tmp_path / "hp_grid.json").write_text(json.dumps({"learning_rate": [1e30, 1e31]}))
+    capsys.readouterr()
+    assert main(["grid-search", "--data", "corpus/manifest.tsv", "--grid", "hp_grid.json", "--out-dir", "grid"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: NonFiniteGradient: every grid cell failed; see the result table"
+    error = "NonFiniteGradient: epoch 1, batch 0: non-finite gradient"
+    assert [row["error"] for row in json.loads((tmp_path / "grid/grid_results.json").read_text())] == [error] * 2
+    rows = list(csv.DictReader((tmp_path / "grid/grid_results.csv").read_text().splitlines()))
+    assert [row["error"] for row in rows] == [error] * 2
+    assert not (tmp_path / "grid/best_config.json").exists()
 
 
 def run_grid(jobs, cells=2):
@@ -142,13 +164,13 @@ class TestRunner:
         assert recording_train == [(threading.main_thread(), 16)] * 2
 
     def test_cross_validate_jobs_2_runs_folds_on_workers(self, recording_train, stub_fold_io, small_corpus):
-        report = cross_validate(default_run_config(), small_corpus, k=2, jobs=2)
+        report = cross_validate(default_run_config(), small_corpus, kfold_split(small_corpus, 2, 0), jobs=2)
         assert len(report.folds) == 2
         assert [count for _, count in recording_train] == [16, 16]
         assert all(thread is not threading.main_thread() for thread, _ in recording_train)
 
     def test_cross_validate_jobs_1_runs_folds_on_the_caller(self, recording_train, stub_fold_io, small_corpus):
-        cross_validate(default_run_config(), small_corpus, k=2, jobs=1)
+        cross_validate(default_run_config(), small_corpus, kfold_split(small_corpus, 2, 0), jobs=1)
         assert recording_train == [(threading.main_thread(), 16)] * 2
 
     def test_one_task_runs_serially_whatever_jobs_says(self, recording_train):

@@ -23,7 +23,6 @@ from wellqc.training.loop import (
     evaluate_model,
     history_csv,
     train,
-    train_logistic_baseline,
 )
 
 
@@ -230,7 +229,7 @@ class TestLogisticBaseline:
     def test_parameter_count_is_24644(self, small_split):
         train_set, val_set = small_split
         config = small_config(epochs=1)
-        checkpoint = train_logistic_baseline(config, train_set, val_set)
+        checkpoint = train(config.as_logistic_baseline(), train_set, val_set)
         total = sum(int(v.size) for v in checkpoint.params.values())
         assert total == 111 * 111 * 2 + 2 == 24644
 
@@ -253,12 +252,12 @@ class TestLogisticBaseline:
         train_set = Dataset(images=images[:48], labels=labels[:48], ids=ids[:48])
         val_set = Dataset(images=images[48:], labels=labels[48:], ids=ids[48:])
         config = small_config(epochs=10)
-        checkpoint = train_logistic_baseline(config, train_set, val_set)
+        checkpoint = train(config.as_logistic_baseline(), train_set, val_set)
         assert max(r.val_accuracy for r in checkpoint.history) == 1.0
 
     def test_uses_same_machinery_without_dropout(self, small_split):
         train_set, val_set = small_split
         config = small_config(epochs=1, dropout_rate=0.5)
-        checkpoint = train_logistic_baseline(config, train_set, val_set)
+        checkpoint = train(config.as_logistic_baseline(), train_set, val_set)
         assert [l.kind for l in checkpoint.spec.layers] == ["Flatten", "Dense", "Softmax"]
         assert checkpoint.hyperparams.dropout_rate == 0.0
