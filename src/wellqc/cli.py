@@ -24,6 +24,7 @@ manifest defects are format errors and exit 2.
 """
 
 import argparse
+import csv
 import functools
 import json
 import logging
@@ -40,7 +41,7 @@ from wellqc.data.manifest import DatasetManifest, load_examples, read_crops, wri
 from wellqc.data.pgm import read_pgm, write_pgm
 from wellqc.data.splits import kfold_split, split_train_val
 from wellqc.data.synth import DEFECT_KINDS, generate_synthetic
-from wellqc.data.tiles import ScanFrame, TileGrid, tile_scan
+from wellqc.data.tiles import TileGrid, tile_scan
 from wellqc.data.wells import CROP_SIZE
 from wellqc.gradcheck import grad_check
 from wellqc.metrics import check_threshold, emit_report, evaluate_checkpoint, method_name, predict, report_text
@@ -120,15 +121,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_tile(args) -> int:
-    pixels, _ = read_pgm(args.frame)
-    frame = ScanFrame(pixels=pixels)
+    frame, _ = read_pgm(args.frame)
     grid = configio.load_file(TileGrid, args.grid)
     crops = tile_scan(frame, grid)
     out_dir = _prepare_out_dir(args)
     names = []
-    for crop in crops:
-        names.append(f"r{crop.row:03d}c{crop.col:03d}.pgm")
-        write_pgm(crop.pixels, out_dir / names[-1], maxval=255)
+    for row, col, pixels in crops:
+        names.append(f"r{row:03d}c{col:03d}.pgm")
+        write_pgm(pixels, out_dir / names[-1], maxval=255)
     skeleton = out_dir / "manifest_skeleton.tsv"
     write_manifest(skeleton, 2, [(name, "-", "real", AUG_NONE) for name in names])
     print(f"tile: wrote {len(crops)} crops and {skeleton.name} to {out_dir} (fill in labels)")
@@ -158,6 +158,7 @@ def cmd_grid_search(args) -> int:
     _check_at_least(args, "jobs", 1)
     config = _resolve_config(args)
     grid = configio.load_file(GridSpec, args.grid)
+    grid.cells(config)  # a value the hyperparameters reject fails here, before the out-dir
     train_set, val_set = _load_split(args, config)
     out_dir = _prepare_out_dir(args, config)
     results, best_config = grid_search(grid, config, train_set, val_set, jobs=args.jobs)
@@ -220,10 +221,10 @@ def cmd_predict(args) -> int:
     out_dir = _prepare_out_dir(args)
     labels, p1 = predict(checkpoint, images, threshold=args.threshold)
     out_path = out_dir / "predictions.csv"
-    lines = ["id,predicted_label,prob_defective"]
-    for i, example_id in enumerate(ids):
-        lines.append(f"{example_id},{int(labels[i])},{float(p1[i]):.6f}")
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "predicted_label", "prob_defective"])
+        writer.writerows([i, label, f"{p:.6f}"] for i, label, p in zip(ids, labels.tolist(), p1.tolist()))
     n_defective = int(labels.sum())
     print(f"predict: {len(ids)} images, {n_defective} flagged defective -> {out_path}")
     return EXIT_OK
@@ -256,15 +257,12 @@ def cmd_grad_check(args) -> int:
     out_dir = _prepare_out_dir(args)
     batch = rng.random((args.batch, *arch.input_shape), dtype=np.float32)
     labels = rng.integers(0, arch.num_classes, args.batch)
-    try:
-        report = grad_check(model, batch, labels, tolerance=args.tolerance)
-    except GradCheckFailure as exc:
-        report = exc.report
-        configio.write_json(out_dir / "grad_check.json", report.to_dict())
-        print(f"grad-check: FAILED max_rel_err={report.max_rel_err:.3e} -> {out_dir / 'grad_check.json'}")
-        raise
+    report = grad_check(model, batch, labels, tolerance=args.tolerance)
     configio.write_json(out_dir / "grad_check.json", report.to_dict())
-    print(f"grad-check: ok, max_rel_err={report.max_rel_err:.3e} -> {out_dir / 'grad_check.json'}")
+    status = "ok," if report.passed else "FAILED"
+    print(f"grad-check: {status} max_rel_err={report.max_rel_err:.3e} -> {out_dir / 'grad_check.json'}")
+    if not report.passed:
+        raise GradCheckFailure(f"gradient mismatch above {args.tolerance:g} in: {', '.join(report.failing_params())}")
     return EXIT_OK
 
 

@@ -25,24 +25,24 @@ def _make(manifest: DatasetManifest, entries) -> DatasetManifest:
 def split_train_val(manifest: DatasetManifest, fraction: float, seed: int):
     """Stratified split; each class sends round(fraction * n) examples to val.
 
-    Returns (train, val): disjoint, exhaustive, non-empty, shuffled by ``seed``.
+    Returns (train, val): disjoint, exhaustive, shuffled by ``seed``, with
+    every class on both sides. EmptyClass names the first class that would
+    be missing from one side.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
     train_entries, val_entries = [], []
     for label, entries in sorted(_entries_by_class(manifest).items()):
-        if len(entries) < 2:
-            raise EmptyClass(f"class {label} has {len(entries)} examples; need at least 2 to split")
         order = rng.permutation(len(entries))
         n_val = int(round(fraction * len(entries)))
+        if not 0 < n_val < len(entries):
+            raise EmptyClass(
+                f"fraction {fraction} leaves class {label} with {len(entries) - n_val} training and {n_val} "
+                "validation examples; each class needs at least one on each side"
+            )
         val_entries.extend(entries[i] for i in order[:n_val])
         train_entries.extend(entries[i] for i in order[n_val:])
-    if not train_entries or not val_entries:
-        raise EmptyClass(
-            f"fraction {fraction} leaves {len(train_entries)} training and {len(val_entries)} validation "
-            "examples; both need at least one"
-        )
     return _make(manifest, train_entries), _make(manifest, val_entries)
 
 

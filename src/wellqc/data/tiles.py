@@ -1,26 +1,15 @@
-"""Cutting full scanner frames into per-well crops on a known grid."""
+"""Cutting full scanner frames into per-well crops on a known grid.
+
+A frame is the 2-D float32 array ``read_pgm`` returns; each crop is a view
+of it, so tiling copies no pixels.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from wellqc.errors import ConfigError, GridOutOfBounds, ShapeError
-from wellqc.data.wells import CROP_SIZE, WellImage
-
-
-@dataclass
-class ScanFrame:
-    """One full-resolution grayscale scanner frame, pixels in [0, 1]."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float32)
-        if self.pixels.ndim != 2:
-            raise ShapeError(f"frame must be 2-D grayscale, got shape {self.pixels.shape}")
-        h, w = self.pixels.shape
-        if h < CROP_SIZE or w < CROP_SIZE:
-            raise ShapeError(f"frame {w}x{h} smaller than one {CROP_SIZE}px crop")
+from wellqc.errors import ConfigError, GridOutOfBounds
+from wellqc.data.wells import CROP_SIZE
 
 
 @dataclass(frozen=True)
@@ -48,27 +37,23 @@ class TileGrid:
             raise ConfigError(f"grid must have >= 1 rows and cols, got {self.rows}x{self.cols}")
 
 
-def tile_scan(frame: ScanFrame, grid: TileGrid) -> list[WellImage]:
-    """All rows*cols crops in row-major order, tagged with (row, col).
+def tile_scan(frame: np.ndarray, grid: TileGrid) -> list[tuple[int, int, np.ndarray]]:
+    """All rows*cols crops in row-major order, as (row, col, view of ``frame``).
 
     Raises GridOutOfBounds naming the first crop (row-major) that would fall
-    outside the frame.
+    outside the frame, before any crop is returned; a frame smaller than one
+    crop fails at crop (0, 0).
     """
-    h, w = frame.pixels.shape
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            y0 = grid.origin_y + r * grid.pitch_y
-            x0 = grid.origin_x + c * grid.pitch_x
-            if y0 + CROP_SIZE > h or x0 + CROP_SIZE > w:
-                raise GridOutOfBounds(
-                    f"crop ({r}, {c}) spans rows [{y0}, {y0 + CROP_SIZE}) x "
-                    f"cols [{x0}, {x0 + CROP_SIZE}) outside the {w}x{h} frame"
-                )
+    h, w = frame.shape
     crops = []
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            y0 = grid.origin_y + r * grid.pitch_y
-            x0 = grid.origin_x + c * grid.pitch_x
-            pixels = frame.pixels[y0 : y0 + CROP_SIZE, x0 : x0 + CROP_SIZE]
-            crops.append(WellImage(pixels=np.ascontiguousarray(pixels), row=r, col=c))
+    for i in range(grid.rows * grid.cols):
+        r, c = divmod(i, grid.cols)
+        y0 = grid.origin_y + r * grid.pitch_y
+        x0 = grid.origin_x + c * grid.pitch_x
+        if y0 + CROP_SIZE > h or x0 + CROP_SIZE > w:
+            raise GridOutOfBounds(
+                f"crop ({r}, {c}) spans rows [{y0}, {y0 + CROP_SIZE}) x "
+                f"cols [{x0}, {x0 + CROP_SIZE}) outside the {w}x{h} frame"
+            )
+        crops.append((r, c, frame[y0 : y0 + CROP_SIZE, x0 : x0 + CROP_SIZE]))
     return crops

@@ -44,14 +44,7 @@ class NonFiniteGradient(WellQcError):
 
 
 class GradCheckFailure(WellQcError):
-    """Backprop disagreed with finite differences beyond tolerance.
-
-    Carries the full report so callers can still write it out.
-    """
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
+    """Backprop disagreed with finite differences beyond tolerance."""
 
 
 class EmptyEvaluation(WellQcError):

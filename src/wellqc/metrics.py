@@ -10,6 +10,10 @@ how well defects are caught. With TP/TN/FP/FN counted over an evaluation:
 
 Zero-denominator precision/recall are reported as None (JSON null) rather
 than 0.0 so degenerate evaluations stay visible; f1 is None when either is.
+
+A ``MetricsReport`` holds an evaluation as its columns (ids, true labels,
+predicted labels, p(defective)); the confusion matrix and the metrics are
+derived from them, so they cannot disagree.
 """
 
 import csv
@@ -104,24 +108,33 @@ def predict(checkpoint, images, threshold: float = 0.5):
     return labels, p1
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    example_id: str
-    true_label: int
-    predicted_label: int
-    prob_defective: float
-
-
 @dataclass
 class MetricsReport:
+    """One evaluation, stored as its per-example columns.
+
+    The confusion matrix is counted from the label columns when the report
+    is built, so a label outside {0, 1} raises LabelError before any report
+    file is written; ``values`` derives the metrics from it.
+    """
+
     method: str
-    cm: ConfusionMatrix
-    accuracy: float
-    precision: float | None
-    recall: float | None
-    f1: float | None
-    threshold: float = 0.5
-    examples: list[PredictionRecord] = field(default_factory=list)
+    threshold: float
+    ids: list[str]
+    true_labels: np.ndarray
+    predicted_labels: np.ndarray
+    prob_defective: np.ndarray
+    cm: ConfusionMatrix = field(init=False)
+
+    def __post_init__(self):
+        self.cm = confusion(self.true_labels, self.predicted_labels)
+
+    @property
+    def values(self) -> MetricValues:
+        return metrics(self.cm)
+
+    def rows(self):
+        """(id, true label, predicted label, p(defective)) per example, as Python scalars."""
+        return zip(self.ids, self.true_labels.tolist(), self.predicted_labels.tolist(), self.prob_defective.tolist())
 
     def to_dict(self) -> dict:
         return {
@@ -129,20 +142,10 @@ class MetricsReport:
             "method": self.method,
             "threshold": self.threshold,
             "confusion_matrix": asdict(self.cm),
-            "metrics": {
-                "accuracy": self.accuracy,
-                "precision": self.precision,
-                "recall": self.recall,
-                "f1": self.f1,
-            },
+            "metrics": self.values._asdict(),
             "examples": [
-                {
-                    "id": r.example_id,
-                    "true_label": r.true_label,
-                    "predicted_label": r.predicted_label,
-                    "prob_defective": r.prob_defective,
-                }
-                for r in self.examples
+                {"id": i, "true_label": t, "predicted_label": p, "prob_defective": prob}
+                for i, t, p, prob in self.rows()
             ],
         }
 
@@ -161,27 +164,13 @@ def evaluate_checkpoint(checkpoint, dataset, threshold: float = 0.5, method: str
     if len(dataset) == 0:
         raise EmptyEvaluation("cannot evaluate an empty dataset")
     labels, p1 = predict(checkpoint, dataset.images, threshold)
-    cm = confusion(dataset.labels, labels)
-    vals = metrics(cm)
-    ids = dataset.ids if dataset.ids else [str(i) for i in range(len(dataset))]
-    records = [
-        PredictionRecord(
-            example_id=ids[i],
-            true_label=int(dataset.labels[i]),
-            predicted_label=int(labels[i]),
-            prob_defective=float(p1[i]),
-        )
-        for i in range(len(dataset))
-    ]
     return MetricsReport(
         method=method or method_name(checkpoint.spec),
-        cm=cm,
-        accuracy=vals.accuracy,
-        precision=vals.precision,
-        recall=vals.recall,
-        f1=vals.f1,
         threshold=threshold,
-        examples=records,
+        ids=dataset.ids if dataset.ids else [str(i) for i in range(len(dataset))],
+        true_labels=dataset.labels,
+        predicted_labels=labels,
+        prob_defective=p1,
     )
 
 
@@ -191,9 +180,7 @@ def _fmt(value: float | None) -> str:
 
 def report_text(report: MetricsReport) -> str:
     """Plain-text summary, one row per method."""
-    row = ", ".join(
-        [report.method, _fmt(report.accuracy), _fmt(report.precision), _fmt(report.recall), _fmt(report.f1)]
-    )
+    row = ", ".join([report.method, *map(_fmt, report.values)])
     return f"{TEXT_HEADER}\n{row}\n"
 
 
@@ -205,8 +192,8 @@ def emit_report(report: MetricsReport, path, format: str = "json") -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "true_label", "predicted_label", "prob_defective"])
-            for r in report.examples:
-                writer.writerow([r.example_id, r.true_label, r.predicted_label, f"{r.prob_defective:.6f}"])
+            for example_id, true_label, predicted_label, prob in report.rows():
+                writer.writerow([example_id, true_label, predicted_label, f"{prob:.6f}"])
     elif format == "text":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(report_text(report))

@@ -47,13 +47,16 @@ class GridSpec:
     dropout_rate: tuple[float, ...] = ()
     l2_lambda: tuple[float, ...] = ()
 
-    def cells(self, base) -> list[dict]:
-        """All combinations in row-major order over the axes above.
+    def cells(self, base: RunConfig) -> list[RunConfig]:
+        """One run config per combination, in row-major order over the axes above.
 
-        Axes with no candidates use the base config's value.
+        Axes with no candidates keep the base config's value. Cell i runs at
+        its own seed, derived from the base seed. A value the hyperparameters
+        reject raises ConfigError here, before any cell trains.
         """
-        axes = [getattr(self, axis) or (getattr(base, axis),) for axis in GRID_AXES]
-        return [dict(zip(GRID_AXES, values)) for values in itertools.product(*axes)]
+        axes = [getattr(self, axis) or (getattr(base.hyperparams, axis),) for axis in GRID_AXES]
+        configs = [base.with_hyperparams(**dict(zip(GRID_AXES, values))) for values in itertools.product(*axes)]
+        return [replace(c, seed=derive_seed(base.seed, _KIND_GRID_CELL, i)) for i, c in enumerate(configs)]
 
 
 GRID_AXES = tuple(f.name for f in fields(GridSpec))
@@ -75,10 +78,9 @@ class CellResult:
         return self.error is not None
 
 
-def _run_cell(index: int, values: dict, base_config: RunConfig, train_set, val_set) -> CellResult:
-    seed = derive_seed(base_config.seed, _KIND_GRID_CELL, index)
-    result = CellResult(index=index, values=values, seed=seed)
-    config = replace(base_config.with_hyperparams(**values), seed=seed)
+def _run_cell(index: int, config: RunConfig, train_set, val_set) -> CellResult:
+    values = {axis: getattr(config.hyperparams, axis) for axis in GRID_AXES}
+    result = CellResult(index=index, values=values, seed=config.seed)
     try:
         checkpoint = train(config, train_set, val_set)
         best = checkpoint.history[checkpoint.best_epoch - 1]
@@ -99,8 +101,8 @@ def grid_search(grid: GridSpec, base_config: RunConfig, train_set, val_set, jobs
     cell order. Failed cells rank last and carry their error instead of
     aborting the sweep; when every cell failed the best config is None.
     """
-    cells = grid.cells(base_config.hyperparams)
-    tasks = [(i, values, base_config, train_set, val_set) for i, values in enumerate(cells)]
+    configs = grid.cells(base_config)
+    tasks = [(i, config, train_set, val_set) for i, config in enumerate(configs)]
     results = run_tasks(_run_cell, tasks, jobs)
 
     def rank_key(r: CellResult):
@@ -110,9 +112,7 @@ def grid_search(grid: GridSpec, base_config: RunConfig, train_set, val_set, jobs
 
     ranked = sorted(results, key=rank_key)
     best = next((r for r in ranked if not r.failed), None)
-    if best is None:
-        return ranked, None
-    return ranked, replace(base_config.with_hyperparams(**best.values), seed=best.seed)
+    return ranked, None if best is None else configs[best.index]
 
 
 def grid_table_csv(results) -> str:
@@ -155,14 +155,7 @@ def _run_fold(fold: int, base_config: RunConfig, corpus, train_rows, val_rows) -
     report = evaluate_checkpoint(checkpoint, val_set)
     best = checkpoint.history[checkpoint.best_epoch - 1]
     return FoldResult(
-        fold=fold,
-        seed=seed,
-        accuracy=report.accuracy,
-        precision=report.precision,
-        recall=report.recall,
-        f1=report.f1,
-        val_loss=best.val_loss,
-        best_epoch=checkpoint.best_epoch,
+        fold=fold, seed=seed, **report.values._asdict(), val_loss=best.val_loss, best_epoch=checkpoint.best_epoch
     )
 
 

@@ -171,6 +171,19 @@ def test_predict_on_an_empty_manifest_writes_only_the_header(runs, tmp_path):
     assert (tmp_path / "out" / "predictions.csv").read_text() == "id,predicted_label,prob_defective\n"
 
 
+def test_predict_keeps_an_id_with_a_comma_in_one_field(runs, tmp_path, monkeypatch):
+    (tmp_path / "checkpoint.bin").write_bytes(runs[0]["cnn/checkpoint.bin"])
+    (tmp_path / "c").mkdir()
+    write_pgm(np.zeros((111, 111)), tmp_path / "c" / "a,b.pgm")
+    monkeypatch.chdir(tmp_path)
+    call("predict", "--checkpoint", "checkpoint.bin", "--out-dir", "out", "c/a,b.pgm")
+    with open("out/predictions.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["id", "predicted_label", "prob_defective"]
+    assert [len(row) for row in rows] == [3, 3]
+    assert rows[1][0] == "c/a,b.pgm"
+
+
 def test_calls_in_one_process_share_no_parsed_values(tmp_path, monkeypatch):
     """The parser is built once per process; each call's options must still be its own."""
     monkeypatch.chdir(tmp_path)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from wellqc.errors import GradCheckFailure
 from wellqc.gradcheck import central_difference, grad_check, relative_error
 from wellqc.nn import ops
 from wellqc.nn.arch import ArchitectureSpec, LayerSpec
@@ -77,10 +76,8 @@ class TestGradCheck:
         rng = np.random.default_rng(2)
         model = init_model(toy_spec(), rng)
         batch = rng.random((3, 12, 12, 1), dtype=np.float32)
-        with pytest.raises(GradCheckFailure) as excinfo:
-            grad_check(model, batch, rng.integers(0, 2, 3))
-        report = excinfo.value.report
-        assert report is not None and not report.passed
+        report = grad_check(model, batch, rng.integers(0, 2, 3))
+        assert not report.passed
         assert any(k.startswith("dense") for k in report.failing_params())
 
     def test_report_serializes(self):

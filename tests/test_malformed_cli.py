@@ -88,7 +88,9 @@ ARCH_STRAY_FIELD = json.loads(json.dumps(ARCH))
 ARCH_STRAY_FIELD["layers"][6]["kernel_size"] = 7
 SHAPE_64 = ["--set", "architecture.input_shape=[64,64,1]"]
 SHAPE_64_NAMES = "architecture.input_shape (64, 64, 1) does not match the crops' (111, 111, 1)"
-NO_VALIDATION = "fraction 0.2 leaves 4 training and 0 validation examples; both need at least one"
+NO_VALIDATION = (
+    "fraction 0.2 leaves class 0 with 2 training and 0 validation examples; each class needs at least one on each side"
+)
 NO_MANIFEST = "{tmp}/missing.tsv"
 NO_CHECKPOINT = "{tmp}/missing.bin"
 
@@ -123,6 +125,12 @@ UNREAD_INPUT_CASES = [
      NO_VALIDATION),
     ("grid-search-split-leaves-no-validation", ["grid-search", "--data", "{tiny}", "--grid", "{tmp}/input.json",
                                                 "--out-dir", "{tmp}/out"], {"learning_rate": [0.01]}, 1, NO_VALIDATION),
+    # 0.8 of class 0's 2 images rounds to both; class 1 keeps one of its 6 for training
+    ("train-split-leaves-class-0-out-of-training", ["train", "--model", "logistic", "--data", "{uneven}",
+                                                    "--set", "split_fraction=0.8", "--out-dir", "{tmp}/out"], None, 1,
+     "fraction 0.8 leaves class 0 with 0 training and 2 validation examples"),
+    ("grid-search-batch-size-0", GRID_SEARCH, {"batch_size": [0, 8], "dropout_rate": [1.5]}, 1,
+     "batch_size must be >= 1, got 0"),
     ("cv-k-above-a-class", [*CV, "--k", "5"], None, 1, "class 0 has 4 examples; need at least k=5"),
     ("eval-empty-manifest", ["eval", "--checkpoint", "{checkpoint}", "--data", "{empty}", "--out-dir", "{tmp}/out"],
      None, 1, "cannot evaluate an empty dataset"),
@@ -175,10 +183,11 @@ COUNT_CASES = [
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """A small corpus, a tiny one, an empty manifest, a one-well frame and a trained logistic checkpoint."""
+    """A small corpus, a tiny one, an uneven one, an empty manifest, a one-well frame and a trained logistic checkpoint."""
     root = tmp_path_factory.mktemp("workspace")
     assert main(["gen", "--seed", "1", "--ok", "4", "--ng", "4", "--out-dir", str(root / "corpus")]) == 0
     assert main(["gen", "--seed", "2", "--ok", "2", "--ng", "2", "--out-dir", str(root / "tiny")]) == 0
+    assert main(["gen", "--seed", "3", "--ok", "2", "--ng", "6", "--out-dir", str(root / "uneven")]) == 0
     (root / "empty.tsv").write_text("#wellqc-manifest v1 num_classes=2\n")
     assert main([
         "train", "--model", "logistic", "--data", str(root / "corpus" / "manifest.tsv"),
@@ -188,6 +197,7 @@ def workspace(tmp_path_factory):
     return {
         "corpus": str(root / "corpus" / "manifest.tsv"),
         "tiny": str(root / "tiny" / "manifest.tsv"),
+        "uneven": str(root / "uneven" / "manifest.tsv"),
         "empty": str(root / "empty.tsv"),
         "frame": str(root / "frame.pgm"),
         "checkpoint": str(root / "model" / "checkpoint.bin"),

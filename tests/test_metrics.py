@@ -10,7 +10,6 @@ from wellqc.metrics import (
     TEXT_HEADER,
     ConfusionMatrix,
     MetricsReport,
-    PredictionRecord,
     confusion,
     emit_report,
     metrics,
@@ -150,21 +149,25 @@ class TestMetricFormulas:
 
 
 def small_report():
-    cm = ConfusionMatrix(tp=1, tn=1, fp=1, fn=1)
-    vals = metrics(cm)
     return MetricsReport(
         method="CNN",
-        cm=cm,
-        accuracy=vals.accuracy,
-        precision=vals.precision,
-        recall=vals.recall,
-        f1=vals.f1,
-        examples=[
-            PredictionRecord("a.pgm", 1, 1, 0.9),
-            PredictionRecord("b.pgm", 0, 1, 0.7),
-            PredictionRecord("c.pgm", 1, 0, 0.2),
-            PredictionRecord("d.pgm", 0, 0, 0.1),
-        ],
+        threshold=0.5,
+        ids=["a.pgm", "b.pgm", "c.pgm", "d.pgm"],
+        true_labels=np.array([1, 0, 1, 0]),
+        predicted_labels=np.array([1, 1, 0, 0]),
+        prob_defective=np.array([0.9, 0.7, 0.2, 0.1]),
+    )
+
+
+def all_negative_report():
+    """Two true negatives: precision, recall and f1 are undefined."""
+    return MetricsReport(
+        method="CNN",
+        threshold=0.5,
+        ids=["a.pgm", "b.pgm"],
+        true_labels=np.array([0, 0]),
+        predicted_labels=np.array([0, 0]),
+        prob_defective=np.array([0.2, 0.1]),
     )
 
 
@@ -189,27 +192,15 @@ class TestReports:
         path = tmp_path / "report.csv"
         emit_report(report, path, format="csv")
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(report.examples) + 1
+        assert len(lines) == len(report.ids) + 1
         assert lines[0] == "id,true_label,predicted_label,prob_defective"
 
     def test_null_metrics_render_as_na_in_text(self):
-        cm = ConfusionMatrix(tp=0, tn=2, fp=0, fn=0)
-        vals = metrics(cm)
-        report = MetricsReport(
-            method="CNN", cm=cm, accuracy=vals.accuracy,
-            precision=vals.precision, recall=vals.recall, f1=vals.f1,
-        )
-        assert "n/a" in report_text(report)
+        assert "n/a" in report_text(all_negative_report())
 
     def test_json_nulls_for_undefined_metrics(self, tmp_path):
-        cm = ConfusionMatrix(tp=0, tn=2, fp=0, fn=0)
-        vals = metrics(cm)
-        report = MetricsReport(
-            method="CNN", cm=cm, accuracy=vals.accuracy,
-            precision=vals.precision, recall=vals.recall, f1=vals.f1,
-        )
         path = tmp_path / "r.json"
-        emit_report(report, path, format="json")
+        emit_report(all_negative_report(), path, format="json")
         data = json.loads(path.read_text())
         assert data["metrics"]["precision"] is None
         assert data["metrics"]["f1"] is None

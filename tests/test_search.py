@@ -15,6 +15,7 @@ from wellqc.data import manifest
 from wellqc.data.pgm import read_pgm
 from wellqc.data.splits import kfold_split
 from wellqc.errors import NonFiniteGradient
+from wellqc.metrics import MetricValues
 from wellqc.nn import model as nn_model
 from wellqc.nn.arch import default_architecture
 from wellqc.nn.model import INFER, init_model, predict_probs
@@ -61,7 +62,7 @@ def recording_train(monkeypatch):
 def stub_fold_io(monkeypatch):
     """The corpus decodes nothing and folds evaluate to a fixed report, so only ``train`` runs."""
     monkeypatch.setattr(search, "load_examples", lambda manifest: SimpleNamespace(subset=lambda rows: rows))
-    report = SimpleNamespace(accuracy=0.5, precision=None, recall=None, f1=None)
+    report = SimpleNamespace(values=MetricValues(0.5, None, None, None))
     monkeypatch.setattr(search, "evaluate_checkpoint", lambda checkpoint, val_set: report)
 
 

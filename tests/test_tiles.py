@@ -8,20 +8,20 @@ import pytest
 
 from wellqc import configio
 from wellqc.errors import ConfigError, GridOutOfBounds
-from wellqc.data.tiles import ScanFrame, TileGrid, tile_scan
+from wellqc.data.tiles import TileGrid, tile_scan
 from wellqc.data.wells import CROP_SIZE
 
 
 def checkerboard_frame(h, w, seed=0):
     rng = np.random.default_rng(seed)
-    return ScanFrame(pixels=rng.random((h, w)).astype(np.float32))
+    return rng.random((h, w)).astype(np.float32)
 
 
 class TestTileScan:
     def test_full_scanner_frame_geometry(self):
         # 3840x2748 frame, origin (10,10), pitch 130: 21 rows x 29 cols fit
         grid = TileGrid(origin_x=10, origin_y=10, pitch_x=130, pitch_y=130, rows=21, cols=29)
-        frame = ScanFrame(pixels=np.zeros((2748, 3840), dtype=np.float32))
+        frame = np.zeros((2748, 3840), dtype=np.float32)
         crops = tile_scan(frame, grid)
         assert len(crops) == 21 * 29 == 609
 
@@ -30,43 +30,45 @@ class TestTileScan:
         grid = TileGrid(origin_x=0, origin_y=0, pitch_x=1, pitch_y=1, rows=1, cols=1)
         crops = tile_scan(frame, grid)
         assert len(crops) == 1
-        npt.assert_array_equal(crops[0].pixels[:, :, 0], frame.pixels)
+        npt.assert_array_equal(crops[0][2], frame)
 
-    def test_pitch_exceeding_frame_raises_with_cell(self):
-        frame = checkerboard_frame(300, 300)
-        grid = TileGrid(origin_x=0, origin_y=0, pitch_x=250, pitch_y=250, rows=2, cols=2)
-        with pytest.raises(GridOutOfBounds, match=r"\(0, 1\)"):
-            tile_scan(frame, grid)
+    @pytest.mark.parametrize(
+        "h, w, pitch, cell",
+        [(300, 300, 250, r"\(0, 1\)"), (110, 120, 111, r"\(0, 0\)")],
+        ids=["pitch-past-the-frame", "frame-smaller-than-one-crop"],
+    )
+    def test_first_crop_outside_the_frame_is_named(self, h, w, pitch, cell):
+        grid = TileGrid(origin_x=0, origin_y=0, pitch_x=pitch, pitch_y=pitch, rows=2, cols=2)
+        with pytest.raises(GridOutOfBounds, match=rf"crop {cell} .* outside the {w}x{h} frame"):
+            tile_scan(checkerboard_frame(h, w), grid)
 
     def test_row_major_order_and_positions(self):
         frame = checkerboard_frame(350, 350)
         grid = TileGrid(origin_x=5, origin_y=7, pitch_x=115, pitch_y=120, rows=2, cols=3)
         crops = tile_scan(frame, grid)
-        assert [(c.row, c.col) for c in crops] == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+        assert [(r, c) for r, c, _ in crops] == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
     def test_crops_cover_declared_pixels(self):
         frame = checkerboard_frame(400, 400, seed=3)
         grid = TileGrid(origin_x=12, origin_y=30, pitch_x=130, pitch_y=140, rows=2, cols=2)
-        for crop in tile_scan(frame, grid):
-            y0 = 30 + crop.row * 140
-            x0 = 12 + crop.col * 130
-            npt.assert_array_equal(
-                crop.pixels[:, :, 0], frame.pixels[y0 : y0 + CROP_SIZE, x0 : x0 + CROP_SIZE]
-            )
+        for r, c, pixels in tile_scan(frame, grid):
+            y0 = 30 + r * 140
+            x0 = 12 + c * 130
+            npt.assert_array_equal(pixels, frame[y0 : y0 + CROP_SIZE, x0 : x0 + CROP_SIZE])
 
     def test_reembedding_crops_reconstructs_frame_region(self):
         # non-overlapping pitch: pasting crops back reproduces the covered area
         frame = checkerboard_frame(500, 400, seed=4)
         grid = TileGrid(origin_x=20, origin_y=10, pitch_x=111, pitch_y=111, rows=3, cols=2)
         crops = tile_scan(frame, grid)
-        rebuilt = np.zeros_like(frame.pixels)
-        covered = np.zeros_like(frame.pixels, dtype=bool)
-        for crop in crops:
-            y0 = 10 + crop.row * 111
-            x0 = 20 + crop.col * 111
-            rebuilt[y0 : y0 + CROP_SIZE, x0 : x0 + CROP_SIZE] = crop.pixels[:, :, 0]
+        rebuilt = np.zeros_like(frame)
+        covered = np.zeros_like(frame, dtype=bool)
+        for r, c, pixels in crops:
+            y0 = 10 + r * 111
+            x0 = 20 + c * 111
+            rebuilt[y0 : y0 + CROP_SIZE, x0 : x0 + CROP_SIZE] = pixels
             covered[y0 : y0 + CROP_SIZE, x0 : x0 + CROP_SIZE] = True
-        npt.assert_array_equal(rebuilt[covered], frame.pixels[covered])
+        npt.assert_array_equal(rebuilt[covered], frame[covered])
 
 
 class TestTileGridConfig:
