@@ -3,8 +3,8 @@
 Subcommands: gen, tile, train, grid-search, cv, eval, predict, grad-check.
 Config precedence is built-in defaults < --config file < --set overrides, and
 no environment variable takes part. Each command reads and checks its inputs
-(config, grid, manifest, checkpoint, architecture, threshold) before it
-creates its out-dir, so a malformed input leaves none behind; then the
+(config, grid, manifest, corpus, checkpoint, architecture, threshold) before
+it creates its out-dir, so a malformed input leaves none behind; then the
 fully-resolved config is logged and written into the out-dir. Exit codes: 0
 success, 1 contract/validation failure, 2 I/O or format error. Every failure
 prints one line, "error: <type>: <message>", to stderr.
@@ -44,7 +44,7 @@ from wellqc.data.synth import DEFECT_KINDS, generate_synthetic
 from wellqc.data.tiles import TileGrid, tile_scan
 from wellqc.data.wells import CROP_SIZE
 from wellqc.gradcheck import grad_check
-from wellqc.metrics import check_threshold, emit_report, evaluate_checkpoint, method_name, predict, report_text
+from wellqc.metrics import check_binary, check_threshold, emit_report, evaluate_checkpoint, method_name, predict, report_text
 from wellqc.nn.arch import ArchitectureSpec, LayerSpec
 from wellqc.nn.model import init_model
 from wellqc.parallel import blas_threads
@@ -77,10 +77,23 @@ def _resolve_config(args):
     if getattr(args, "seed", None) is not None:
         overrides.append(f"seed={args.seed}")
     config = resolve_run_config(args.config, overrides)
-    shape, crop_shape = config.architecture.input_shape, (CROP_SIZE, CROP_SIZE, 1)
+    _check_input_shape(config.architecture)
+    return config
+
+
+def _check_input_shape(spec) -> None:
+    shape, crop_shape = spec.input_shape, (CROP_SIZE, CROP_SIZE, 1)
     if shape != crop_shape:
         raise ShapeError(f"architecture.input_shape {shape} does not match the crops' {crop_shape}")
-    return config
+
+
+def _load_classifier(args) -> Checkpoint:
+    """The --checkpoint model, checked to take the crops and to give a binary verdict at --threshold."""
+    check_threshold(args.threshold)
+    checkpoint = Checkpoint.load(args.checkpoint)
+    _check_input_shape(checkpoint.spec)
+    check_binary(checkpoint.spec)
+    return checkpoint
 
 
 def _prepare_out_dir(args, config=None) -> Path:
@@ -141,15 +154,13 @@ def cmd_train(args) -> int:
         config = config.as_logistic_baseline()
     train_set, val_set = _load_split(args, config)
     out_dir = _prepare_out_dir(args, config)
-    checkpoint = train(config, train_set, val_set)
+    run = train(config, train_set, val_set)
     ckpt_path = out_dir / "checkpoint.bin"
-    checkpoint.save(ckpt_path)
-    (out_dir / "history.csv").write_text(history_csv(checkpoint.history), encoding="utf-8")
-    best = checkpoint.history[checkpoint.best_epoch - 1]
+    run.checkpoint.save(ckpt_path)
+    (out_dir / "history.csv").write_text(history_csv(run.history), encoding="utf-8")
     print(
-        f"train[{method_name(config.architecture)}]: {len(checkpoint.history)} epochs, "
-        f"best epoch {checkpoint.best_epoch} "
-        f"(val_loss={best.val_loss:.4f}, val_accuracy={best.val_accuracy:.4f}) -> {ckpt_path}"
+        f"train[{method_name(config.architecture)}]: {len(run.history)} epochs, best epoch {run.best_epoch} "
+        f"(val_loss={run.best.val_loss:.4f}, val_accuracy={run.best.val_accuracy:.4f}) -> {ckpt_path}"
     )
     return EXIT_OK
 
@@ -179,10 +190,12 @@ def cmd_cv(args) -> int:
     _check_at_least(args, "jobs", 1)
     _check_at_least(args, "k", 2)
     config = _resolve_config(args)
+    check_binary(config.architecture)  # each fold's evaluation thresholds p(defective)
     manifest = DatasetManifest.load(args.data)
     pairs = kfold_split(manifest, args.k, config.seed)
+    corpus = load_examples(manifest)
     out_dir = _prepare_out_dir(args, config)
-    report = cross_validate(config, manifest, pairs, jobs=args.jobs)
+    report = cross_validate(config, corpus, pairs, jobs=args.jobs)
     configio.write_json(out_dir / "cv_report.json", asdict(report))
     acc = report.mean.get("accuracy", float("nan"))
     std = report.std.get("accuracy", float("nan"))
@@ -191,8 +204,7 @@ def cmd_cv(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    check_threshold(args.threshold)
-    checkpoint = Checkpoint.load(args.checkpoint)
+    checkpoint = _load_classifier(args)
     dataset = load_examples(DatasetManifest.load(args.data))
     if len(dataset) == 0:
         raise EmptyEvaluation("cannot evaluate an empty dataset")
@@ -210,8 +222,7 @@ def cmd_predict(args) -> int:
         raise ValueError("predict needs --data or image paths")
     if args.data and args.images:
         raise ValueError("predict takes --data or image paths, not both")
-    check_threshold(args.threshold)
-    checkpoint = Checkpoint.load(args.checkpoint)
+    checkpoint = _load_classifier(args)
     if args.data:
         dataset = load_examples(DatasetManifest.load(args.data))
         images, ids = dataset.images, dataset.ids

@@ -24,6 +24,7 @@ import typing
 from wellqc.errors import ConfigError
 
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+_CONTAINERS = {list: "an array", tuple: "an array", dict: "an object"}
 _type_hints = functools.cache(typing.get_type_hints)
 
 
@@ -70,11 +71,11 @@ def load_file(cls, path):
 
 
 def read_json(path):
-    """Parse a JSON file; text that is not JSON raises ConfigError."""
+    """Parse a JSON file; text that is not JSON, or nests past the parser's depth, raises ConfigError."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -120,4 +121,6 @@ def _encode(value):
 
 
 def _wrong_type(path: str, expected: str, value) -> ConfigError:
-    return ConfigError(f"{path}: expected {expected}, got {json.dumps(value, default=repr)}")
+    """Names an array or object by its kind, so the message stays one short line however deep the value nests."""
+    shown = _CONTAINERS.get(type(value)) or json.dumps(value, default=repr)
+    return ConfigError(f"{path}: expected {expected}, got {shown}")

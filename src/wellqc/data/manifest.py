@@ -7,8 +7,8 @@ A manifest is a TSV file with one record per line:
 
 ``origin`` is real | synthetic | augmented; ``augmentation`` is none | hflip |
 vflip | rot180 and is applied on load, so augmented entries reference their
-source file rather than duplicating pixels on disk. A (path, augmentation)
-pair therefore identifies an example and may not repeat.
+source file rather than duplicating pixels on disk. An example's id, its
+path with "+<augmentation>" appended when it has one, may not repeat.
 
 ``load_examples`` turns a manifest into one preallocated image batch. It
 decodes each file once, writes its augmented rows in place, and keeps no
@@ -61,10 +61,9 @@ class DatasetManifest:
         for e in self.entries:
             if not 0 <= e.label < self.num_classes:
                 raise LabelError(f"{e.path}: label {e.label} outside [0, {self.num_classes})")
-            key = (e.path, e.aug)
-            if key in seen:
-                raise FormatError(f"duplicate (path, augmentation) pair: {key}")
-            seen.add(key)
+            if e.example_id in seen:
+                raise FormatError(f"duplicate example {e.example_id!r}")
+            seen.add(e.example_id)
         return self
 
     def class_counts(self) -> dict[int, int]:

@@ -92,6 +92,12 @@ def check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
 
 
+def check_binary(spec) -> None:
+    """Reject a model whose Softmax head is not two classes wide: a threshold on p(defective) needs a binary one."""
+    if spec.num_classes != 2:
+        raise LabelError(f"thresholded prediction is binary; model has {spec.num_classes} classes")
+
+
 def predict(checkpoint, images, threshold: float = 0.5):
     """Labels and defect probabilities for a stack of images.
 
@@ -100,8 +106,7 @@ def predict(checkpoint, images, threshold: float = 0.5):
     matches argmax except on exact ties.
     """
     check_threshold(threshold)
-    if checkpoint.spec.num_classes != 2:
-        raise LabelError(f"thresholded prediction is binary; model has {checkpoint.spec.num_classes} classes")
+    check_binary(checkpoint.spec)
     probs = predict_probs(checkpoint.to_model(), np.asarray(images))
     p1 = probs[:, 1]
     labels = (p1 >= threshold).astype(np.int64)
@@ -190,7 +195,7 @@ def emit_report(report: MetricsReport, path, format: str = "json") -> None:
         write_json(path, report.to_dict(), sort_keys=True)
     elif format == "csv":
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["id", "true_label", "predicted_label", "prob_defective"])
             for example_id, true_label, predicted_label, prob in report.rows():
                 writer.writerow([example_id, true_label, predicted_label, f"{prob:.6f}"])

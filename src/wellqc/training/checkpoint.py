@@ -1,25 +1,29 @@
-"""Versioned checkpoint container and the training history it carries.
+"""Versioned checkpoint container: an architecture and its weights.
 
 Byte layout (documented for cross-implementation compatibility):
 
-    line 1:  ASCII "WELLQC-CKPT v2 <header_bytes>\\n", the one place the
-             version is stored
-    header:  exactly <header_bytes> bytes of UTF-8 JSON with five sorted keys:
-             architecture, best_epoch, history, hyperparams, params (an
-             ordered list of {"name", "shape"})
-    blocks:  for each params entry in listed order, the tensor's values as
-             raw little-endian 32-bit floats in row-major (C) order
+    line 1:  ASCII "WELLQC-CKPT v3 <header_bytes>\\n", single spaces, the one
+             place the version is stored
+    header:  exactly <header_bytes> bytes of UTF-8 JSON: the architecture as
+             ``configio.dump`` writes it, keys sorted, no whitespace
+    blocks:  for each tensor of ``param_shapes(architecture)``, in that order,
+             its values as raw little-endian 32-bit floats in row-major (C)
+             order
+
+The header holds the architecture alone, since the tensor names and shapes
+follow from it. A run's hyperparameters and history are not in the file:
+they live in its out-dir, as ``resolved_config.json`` and ``history.csv``.
 
 Weights round-trip bit-exactly, so a loaded checkpoint predicts identically
-to the in-memory model it was saved from. Loading checks the header with the
-strict config codec and checks that the listed params are exactly the
-tensors the architecture has; any defect is a FormatError, and so is a file
-of another version: a v1 model must be retrained.
+to the in-memory model it was saved from. Loading checks the magic line byte
+for byte and the header with the strict config codec; any defect is a
+FormatError, and so is a file of another version: a v1 or v2 model must be
+retrained (v2's tensor blocks are these same bytes).
 """
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,66 +32,25 @@ from wellqc import configio
 from wellqc.errors import FormatError, WellQcError
 from wellqc.nn.arch import ArchitectureSpec
 from wellqc.nn.model import INFER, Model, param_shapes
-from wellqc.optim import Hyperparams
 
-CHECKPOINT_VERSION = 2
-_MAGIC = "WELLQC-CKPT"
-
-
-@dataclass(frozen=True)
-class EpochRecord:
-    """One epoch of training history. Wall time is logged, never stored."""
-
-    epoch: int  # 1-based
-    train_loss: float  # cross-entropy + L2 penalty (the optimized objective)
-    train_ce: float
-    train_accuracy: float
-    val_loss: float  # pure cross-entropy
-    val_accuracy: float
-
-
-HISTORY_COLUMNS = tuple(f.name for f in fields(EpochRecord))
-
-
-@dataclass(frozen=True)
-class _ParamEntry:
-    name: str
-    shape: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class _Header:
-    architecture: ArchitectureSpec
-    hyperparams: Hyperparams
-    params: tuple[_ParamEntry, ...]
-    history: tuple[EpochRecord, ...] = ()
-    best_epoch: int = 0
+CHECKPOINT_VERSION = 3
+_MAGIC = b"WELLQC-CKPT"
 
 
 @dataclass
 class Checkpoint:
     spec: ArchitectureSpec
-    params: dict[str, np.ndarray]  # float32
-    hyperparams: Hyperparams
-    history: list = field(default_factory=list)
-    best_epoch: int = 0
+    params: dict[str, np.ndarray]  # float32, keyed as param_shapes(spec)
 
     def to_model(self) -> Model:
         return Model(spec=self.spec, params={k: v.copy() for k, v in self.params.items()}, mode=INFER)
 
     def save(self, path) -> None:
-        header = _Header(
-            architecture=self.spec,
-            hyperparams=self.hyperparams,
-            params=tuple(_ParamEntry(name, value.shape) for name, value in self.params.items()),
-            history=tuple(self.history),
-            best_epoch=self.best_epoch,
-        )
-        header_bytes = json.dumps(configio.dump(header), sort_keys=True, separators=(",", ":")).encode("utf-8")
+        header = json.dumps(configio.dump(self.spec), sort_keys=True, separators=(",", ":")).encode("utf-8")
         with open(path, "wb") as fh:
-            fh.write(f"{_MAGIC} v{CHECKPOINT_VERSION} {len(header_bytes)}\n".encode("ascii"))
-            fh.write(header_bytes)
-            for name in self.params:
+            fh.write(b"%s v%d %d\n" % (_MAGIC, CHECKPOINT_VERSION, len(header)))
+            fh.write(header)
+            for name in param_shapes(self.spec):
                 fh.write(np.ascontiguousarray(self.params[name], dtype="<f4").tobytes())
 
     @classmethod
@@ -96,11 +59,11 @@ class Checkpoint:
         nl = data.find(b"\n")
         if nl < 0:
             raise FormatError(f"{path}: missing checkpoint magic line", offset=0)
-        parts = data[:nl].decode("ascii", errors="replace").split()
+        parts = data[:nl].split(b" ")
         if len(parts) != 3 or parts[0] != _MAGIC:
             raise FormatError(f"{path}: bad magic line {data[:nl]!r}", offset=0)
-        if parts[1] != f"v{CHECKPOINT_VERSION}":
-            raise FormatError(f"{path}: unsupported checkpoint version {parts[1]}")
+        if parts[1] != b"v%d" % CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {parts[1].decode('ascii', 'replace')!r}")
         if not parts[2].isdigit():
             raise FormatError(f"{path}: bad header length {parts[2]!r}", offset=0)
         header_len = int(parts[2])
@@ -110,33 +73,20 @@ class Checkpoint:
         if len(header_bytes) < header_len:
             raise FormatError(f"{path}: truncated header", offset=header_start + len(header_bytes))
         try:
-            header = configio.load(_Header, json.loads(header_bytes.decode("utf-8")))
-            expected = param_shapes(header.architecture)
-        except (ValueError, WellQcError) as exc:
+            spec = configio.load(ArchitectureSpec, json.loads(header_bytes.decode("utf-8")))
+            shapes = param_shapes(spec)
+        except (ValueError, RecursionError, WellQcError) as exc:
             raise FormatError(f"{path}: bad header: {exc}", offset=header_start) from None
-        if sorted((p.name, p.shape) for p in header.params) != sorted(expected.items()):
-            listed = ", ".join(f"{name}{list(shape)}" for name, shape in expected.items())
-            raise FormatError(f"{path}: header params are not the architecture's {listed}", offset=header_start)
 
         params: dict[str, np.ndarray] = {}
         offset = header_start + header_len
-        for entry in header.params:
-            nbytes = math.prod(entry.shape) * 4
+        for name, shape in shapes.items():
+            nbytes = math.prod(shape) * 4
             block = data[offset : offset + nbytes]
             if len(block) < nbytes:
-                raise FormatError(
-                    f"{path}: truncated weight block for {entry.name}",
-                    offset=offset + len(block),
-                )
-            params[entry.name] = np.frombuffer(block, dtype="<f4").reshape(entry.shape).astype(np.float32)
+                raise FormatError(f"{path}: truncated weight block for {name}", offset=offset + len(block))
+            params[name] = np.frombuffer(block, dtype="<f4").reshape(shape).astype(np.float32)
             offset += nbytes
         if offset != len(data):
             raise FormatError(f"{path}: {len(data) - offset} trailing bytes", offset=offset)
-
-        return cls(
-            spec=header.architecture,
-            params=params,
-            hyperparams=header.hyperparams,
-            history=list(header.history),
-            best_epoch=header.best_epoch,
-        )
+        return cls(spec=spec, params=params)

@@ -72,20 +72,22 @@ def _merge_dicts(base: dict, override: dict) -> dict:
     return out
 
 
-def _parse_override_value(text: str):
+def _parse_override_value(dotted: str, text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError:
         return text
+    except RecursionError:
+        raise ConfigError(f"{dotted}: override value nests past the JSON parser's depth") from None
 
 
 def apply_overrides(config_dict: dict, overrides) -> dict:
-    """Apply ``dotted.path=value`` strings on top of a config dict.
+    """Apply ``dotted.path=value`` strings on top of a config dict, leaving it unchanged.
 
     Values parse as JSON when possible ("0.01" -> 0.01, "true" -> True),
-    otherwise stay strings.
+    otherwise stay strings. Only the dicts along each dotted path are copied.
     """
-    out = json.loads(json.dumps(config_dict))  # deep copy
+    out = dict(config_dict)
     for item in overrides or ():
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -93,10 +95,10 @@ def apply_overrides(config_dict: dict, overrides) -> dict:
         keys = dotted.split(".")
         target = out
         for key in keys[:-1]:
-            if not isinstance(target.get(key), dict):
-                target[key] = {}
+            child = target.get(key)
+            target[key] = dict(child) if isinstance(child, dict) else {}
             target = target[key]
-        target[keys[-1]] = _parse_override_value(raw)
+        target[keys[-1]] = _parse_override_value(dotted, raw)
     return out
 
 

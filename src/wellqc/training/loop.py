@@ -16,16 +16,33 @@ EpochRecord, so identically-configured runs serialize to identical bytes.
 
 import logging
 import time
+from dataclasses import dataclass, fields
+
 import numpy as np
 
 from wellqc.errors import NonFiniteGradient
 from wellqc.nn.model import TRAIN, Model, init_model, model_backward, model_forward, model_loss, predict_probs
 from wellqc.optim import adam_step, apply_l2, init_adam_state, l2_penalty
 from wellqc.parallel import split_thread
-from wellqc.training.checkpoint import HISTORY_COLUMNS, Checkpoint, EpochRecord
+from wellqc.training.checkpoint import Checkpoint
 from wellqc.training.config import RunConfig
 
 log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class EpochRecord:
+    """One epoch of training history. Wall time is logged, never stored."""
+
+    epoch: int  # 1-based
+    train_loss: float  # cross-entropy + L2 penalty (the optimized objective)
+    train_ce: float
+    train_accuracy: float
+    val_loss: float  # pure cross-entropy
+    val_accuracy: float
+
+
+HISTORY_COLUMNS = tuple(f.name for f in fields(EpochRecord))
 
 
 def history_csv(history) -> str:
@@ -36,6 +53,19 @@ def history_csv(history) -> str:
             f"{r.val_loss:.8f},{r.val_accuracy:.8f}"
         )
     return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class TrainingRun:
+    """What ``train`` returns: the best epoch's checkpoint and the history of every epoch run."""
+
+    checkpoint: Checkpoint
+    history: list[EpochRecord]
+    best_epoch: int  # 1-based
+
+    @property
+    def best(self) -> EpochRecord:
+        return self.history[self.best_epoch - 1]
 
 
 def best_epoch(history, metric: str) -> int:
@@ -59,12 +89,12 @@ def evaluate_model(model: Model, images, labels):
     return ce, int((probs.argmax(axis=1) == labels).sum()) / len(labels)
 
 
-def train(config: RunConfig, train_set, val_set):
-    """Train on ``train_set``, monitor ``val_set``; returns the Checkpoint.
+def train(config: RunConfig, train_set, val_set) -> TrainingRun:
+    """Train on ``train_set``, monitor ``val_set``; returns the run.
 
-    The checkpoint carries the weights of the best monitored epoch, not the
-    last one, and the history of every epoch run. Every Dropout layer drops
-    at ``hyperparams.dropout_rate``. All randomness (init, shuffling,
+    The run's checkpoint carries the weights of the best monitored epoch,
+    not the last one; its history holds every epoch run. Every Dropout layer
+    drops at ``hyperparams.dropout_rate``. All randomness (init, shuffling,
     dropout) comes from one generator seeded with config.seed, so a rerun is
     bit-identical.
     """
@@ -131,5 +161,5 @@ def train(config: RunConfig, train_set, val_set):
                 log.info("early stop after epoch %d; keeping epoch %d", epoch, best)
                 break
 
-    return Checkpoint(spec=config.architecture, params=best_params, hyperparams=hp, history=history, best_epoch=best)
+    return TrainingRun(Checkpoint(spec=config.architecture, params=best_params), history=history, best_epoch=best)
 

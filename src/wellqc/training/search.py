@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from wellqc.errors import NonFiniteGradient, WellQcError
-from wellqc.data.manifest import load_examples
 from wellqc.metrics import evaluate_checkpoint
 from wellqc.parallel import run_tasks
 from wellqc.training.config import RunConfig
@@ -82,12 +81,11 @@ def _run_cell(index: int, config: RunConfig, train_set, val_set) -> CellResult:
     values = {axis: getattr(config.hyperparams, axis) for axis in GRID_AXES}
     result = CellResult(index=index, values=values, seed=config.seed)
     try:
-        checkpoint = train(config, train_set, val_set)
-        best = checkpoint.history[checkpoint.best_epoch - 1]
-        result.val_accuracy = best.val_accuracy
-        result.val_loss = best.val_loss
-        result.best_epoch = checkpoint.best_epoch
-        result.epochs_run = len(checkpoint.history)
+        run = train(config, train_set, val_set)
+        result.val_accuracy = run.best.val_accuracy
+        result.val_loss = run.best.val_loss
+        result.best_epoch = run.best_epoch
+        result.epochs_run = len(run.history)
     except (NonFiniteGradient, WellQcError) as exc:
         result.error = f"{type(exc).__name__}: {exc}"
         log.warning("grid cell %d failed: %s", index, result.error)
@@ -151,24 +149,23 @@ def _run_fold(fold: int, base_config: RunConfig, corpus, train_rows, val_rows) -
     seed = derive_seed(base_config.seed, _KIND_CV_FOLD, fold)
     config = replace(base_config, seed=seed)
     train_set, val_set = corpus.subset(train_rows), corpus.subset(val_rows)
-    checkpoint = train(config, train_set, val_set)
-    report = evaluate_checkpoint(checkpoint, val_set)
-    best = checkpoint.history[checkpoint.best_epoch - 1]
+    run = train(config, train_set, val_set)
+    report = evaluate_checkpoint(run.checkpoint, val_set)
     return FoldResult(
-        fold=fold, seed=seed, **report.values._asdict(), val_loss=best.val_loss, best_epoch=checkpoint.best_epoch
+        fold=fold, seed=seed, **report.values._asdict(), val_loss=run.best.val_loss, best_epoch=run.best_epoch
     )
 
 
-def cross_validate(config: RunConfig, manifest, pairs, jobs: int = 1) -> CvReport:
+def cross_validate(config: RunConfig, corpus, pairs, jobs: int = 1) -> CvReport:
     """Train one model per (train, val) pair of ``kfold_split`` and aggregate metrics.
 
-    The corpus is decoded once; each fold copies out its own rows when it
-    starts, so at most ``jobs`` folds' copies are held at a time.
+    ``corpus`` is the whole manifest, decoded once by ``load_examples``; each
+    fold copies out its own rows, found by example id, when it starts, so at
+    most ``jobs`` folds' copies are held at a time.
     """
-    corpus = load_examples(manifest)
-    row = {e: i for i, e in enumerate(manifest.entries)}
+    row = {example_id: i for i, example_id in enumerate(corpus.ids)}
     tasks = [
-        (i, config, corpus, [row[e] for e in tr.entries], [row[e] for e in va.entries])
+        (i, config, corpus, [row[e.example_id] for e in tr.entries], [row[e.example_id] for e in va.entries])
         for i, (tr, va) in enumerate(pairs)
     ]
     folds = run_tasks(_run_fold, tasks, jobs)

@@ -6,10 +6,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from wellqc import configio
 from wellqc.errors import FormatError
-from wellqc.nn.model import init_model, predict_probs
-from wellqc.optim import Hyperparams
-from wellqc.training.checkpoint import CHECKPOINT_VERSION, Checkpoint, EpochRecord
+from wellqc.nn.model import init_model, param_shapes, predict_probs
+from wellqc.training.checkpoint import CHECKPOINT_VERSION, Checkpoint
 
 from tests.test_model import toy_spec
 
@@ -29,22 +29,8 @@ def rewrite_header(path, edit, version=CHECKPOINT_VERSION):
     path.write_bytes(magic_line(len(header_bytes), version) + header_bytes + data[nl + 1 + header_len :])
 
 
-def set_shape(header, index, shape):
-    header["params"][index]["shape"] = shape
-
-
 def toy_checkpoint(seed=0):
-    model = init_model(toy_spec(), np.random.default_rng(seed))
-    history = [
-        EpochRecord(epoch=1, train_loss=1.2, train_ce=1.0, train_accuracy=0.6,
-                    val_loss=0.9, val_accuracy=0.7),
-        EpochRecord(epoch=2, train_loss=1.0, train_ce=0.8, train_accuracy=0.7,
-                    val_loss=0.8, val_accuracy=0.8),
-    ]
-    return Checkpoint(
-        spec=toy_spec(), params=model.params, hyperparams=Hyperparams(),
-        history=history, best_epoch=2,
-    )
+    return Checkpoint(spec=toy_spec(), params=init_model(toy_spec(), np.random.default_rng(seed)).params)
 
 
 class TestRoundTrip:
@@ -54,9 +40,7 @@ class TestRoundTrip:
         ckpt.save(path)
         loaded = Checkpoint.load(path)
         assert loaded.spec == ckpt.spec
-        assert loaded.hyperparams == ckpt.hyperparams
-        assert loaded.best_epoch == 2
-        assert loaded.history == ckpt.history
+        assert list(loaded.params) == list(ckpt.params)
         for key in ckpt.params:
             npt.assert_array_equal(loaded.params[key], ckpt.params[key])
             assert loaded.params[key].dtype == np.float32
@@ -85,18 +69,15 @@ class TestRoundTrip:
         ckpt.save(path)
         data = path.read_bytes()
         nl = data.find(b"\n")
-        magic = data[:nl].split()
-        assert magic[0] == b"WELLQC-CKPT" and magic[1] == b"v%d" % CHECKPOINT_VERSION
+        magic = data[:nl].split(b" ")
+        assert magic[:2] == [b"WELLQC-CKPT", b"v%d" % CHECKPOINT_VERSION] == [b"WELLQC-CKPT", b"v3"]
         header_len = int(magic[2])
-        header = json.loads(data[nl + 1 : nl + 1 + header_len])
-        assert sorted(header) == ["architecture", "best_epoch", "history", "hyperparams", "params"]
+        header = data[nl + 1 : nl + 1 + header_len]
+        assert header == json.dumps(configio.dump(toy_spec()), sort_keys=True, separators=(",", ":")).encode()
         blob = data[nl + 1 + header_len :]
-        expected = sum(int(np.prod(p["shape"])) for p in header["params"]) * 4
-        assert len(blob) == expected
-        first = header["params"][0]
-        count = int(np.prod(first["shape"]))
-        block = np.frombuffer(blob[: count * 4], dtype="<f4").reshape(first["shape"])
-        npt.assert_array_equal(block, ckpt.params[first["name"]])
+        expected = b"".join(ckpt.params[name].astype("<f4").tobytes() for name in param_shapes(toy_spec()))
+        assert list(param_shapes(toy_spec())) == ["conv1.W", "conv1.b", "dense1.W", "dense1.b", "dense2.W", "dense2.b"]
+        assert blob == expected
 
 
 class TestMalformed:
@@ -124,36 +105,69 @@ class TestMalformed:
             Checkpoint.load(tmp_path / "extra.bin")
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, names",
         [
-            lambda h: h.pop("hyperparams"),
-            lambda h: h["hyperparams"].update(learning_rate="x"),
-            lambda h: h["history"][0].pop("train_loss"),
-            lambda h: h["architecture"]["layers"][0].update(out_channels="4"),
-            lambda h: set_shape(h, 0, [-3, 3, 1, 4]),
-            lambda h: set_shape(h, 0, [3, 3, 1, 5]),
-            lambda h: h["params"].append(h["params"][0]),
-            lambda h: h["params"].pop(),
-            lambda h: h["params"][0].update(name="conv9.W"),
+            (lambda h: h["layers"][0].update(out_channels="4"), 'layers[0].out_channels: expected an integer, got "4"'),
+            (lambda h: h["layers"][4].update(units="x"), 'layers[4].units: expected an integer, got "x"'),
+            (lambda h: h["layers"][1].update(kind="Conv3D"), "unknown layer kind 'Conv3D'"),
+            (lambda h: h.pop("input_shape"), "input_shape: missing required key"),
+            (lambda h: h.update(input_shape=[12, 12]), "expected an array of 3 items, got 2"),
+            (lambda h: h["layers"][0].update(out_channels=-4), "Conv2D.out_channels must be >= 1, got -4"),
+            (lambda h: h["layers"][0].update(kernel_size=13), "kernel 13x13 exceeds input 12x12"),
+            (lambda h: h["layers"].pop(), "architecture must end with a Softmax layer"),
+            (lambda h: h.update(hyperparams={"learning_rate": 0.001}), "unknown key(s) 'hyperparams'"),
         ],
         ids=[
-            "missing-hyperparams",
-            "string-learning-rate",
-            "history-row-without-train-loss",
             "string-out-channels",
-            "negative-shape",
-            "shape-not-the-architecture's",
-            "duplicate-param-name",
-            "missing-param",
-            "unknown-param-name",
+            "string-dense-units",
+            "unknown-layer-kind",
+            "missing-input-shape",
+            "input-shape-of-two-dims",
+            "negative-out-channels",
+            "kernel-larger-than-the-input",
+            "no-softmax-head",
+            "v2-hyperparams-key",
         ],
     )
-    def test_header_defect_is_a_format_error(self, tmp_path, edit):
+    def test_header_defect_is_a_format_error(self, tmp_path, edit, names):
         path = tmp_path / "model.bin"
         toy_checkpoint().save(path)
         rewrite_header(path, edit)
-        with pytest.raises(FormatError, match="header"):
+        with pytest.raises(FormatError, match="bad header") as caught:
             Checkpoint.load(path)
+        assert names in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "edit, names",
+        [
+            (lambda h: h["layers"][0].update(out_channels=5), "truncated weight block for dense1.W"),
+            (lambda h: h["layers"][4].update(units=7), "412 trailing bytes"),
+        ],
+        ids=["wider-conv", "narrower-dense"],
+    )
+    def test_architecture_that_disagrees_with_the_blocks_is_a_format_error(self, tmp_path, edit, names):
+        path = tmp_path / "model.bin"
+        toy_checkpoint().save(path)
+        rewrite_header(path, edit)
+        with pytest.raises(FormatError, match=names):
+            Checkpoint.load(path)
+
+    @pytest.mark.parametrize("separator", [b"\t", b"  ", b"\x1c"], ids=["tab", "two-spaces", "file-separator"])
+    def test_magic_line_fields_are_split_by_single_spaces(self, tmp_path, separator):
+        path = tmp_path / "model.bin"
+        toy_checkpoint().save(path)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"WELLQC-CKPT v3 ", b"WELLQC-CKPT" + separator + b"v3 ", 1))
+        with pytest.raises(FormatError, match="bad magic line"):
+            Checkpoint.load(path)
+
+    def test_unsupported_version_is_named_with_its_control_bytes_escaped(self, tmp_path):
+        path = tmp_path / "model.bin"
+        toy_checkpoint().save(path)
+        path.write_bytes(path.read_bytes().replace(b" v3 ", b" v\x0b3 ", 1))
+        with pytest.raises(FormatError) as caught:
+            Checkpoint.load(path)
+        assert str(caught.value) == rf"{path}: unsupported checkpoint version 'v\x0b3'"
 
     def test_header_that_is_not_an_object_is_a_format_error(self, tmp_path):
         path = tmp_path / "model.bin"

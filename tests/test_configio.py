@@ -10,8 +10,8 @@ from wellqc.data.tiles import TileGrid
 from wellqc.errors import ConfigError
 from wellqc.nn.arch import ArchitectureSpec, LayerSpec, default_architecture
 from wellqc.optim import Hyperparams
-from wellqc.training.checkpoint import EpochRecord
 from wellqc.training.config import EarlyStoppingConfig, RunConfig, default_run_config
+from wellqc.training.loop import EpochRecord
 from wellqc.training.search import GridSpec
 
 SAMPLES = {
@@ -92,6 +92,15 @@ class TestTypes:
     def test_string_for_number_rejected(self):
         with pytest.raises(ConfigError, match='learning_rate: expected a number, got "abc"'):
             configio.load(Hyperparams, {"learning_rate": "abc"})
+
+    def test_array_or_object_for_a_scalar_is_named_by_its_kind(self):
+        deep = []
+        for _ in range(5_000):  # deeper than json.dumps can write
+            deep = [deep]
+        with pytest.raises(ConfigError, match="epochs: expected an integer, got an array$"):
+            configio.load(Hyperparams, {"epochs": deep})
+        with pytest.raises(ConfigError, match="seed: expected an integer, got an object$"):
+            configio.load(RunConfig, {**configio.dump(default_run_config()), "seed": {"value": 1}})
 
     def test_int_for_float_is_kept_as_written(self):
         hp = configio.load(Hyperparams, {"l2_lambda": 0})

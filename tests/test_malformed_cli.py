@@ -6,18 +6,26 @@ or manifest, a checkpoint of another format version, a crop of the wrong
 size, a truncated PGM). No input may end in a traceback.
 """
 
+import contextlib
+import io
+import itertools
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wellqc import configio
 from wellqc.cli import main
 from wellqc.data.pgm import write_pgm
-from wellqc.nn.arch import default_architecture
+from wellqc.nn.arch import ArchitectureSpec, default_architecture, logistic_architecture
+from wellqc.nn.model import init_model, param_shapes
+from wellqc.optim import Hyperparams
+from wellqc.training.checkpoint import Checkpoint
 
-from tests.test_checkpoint import rewrite_header
+from tests.test_checkpoint import magic_line, rewrite_header
 
 TRAIN = ["train", "--data", "{corpus}", "--out-dir", "{tmp}/out"]
 GRID_SEARCH = ["grid-search", "--data", "{corpus}", "--grid", "{tmp}/input.json", "--out-dir", "{tmp}/out"]
@@ -34,6 +42,7 @@ ARCH_STRING_CHANNELS = json.loads(json.dumps(ARCH))
 ARCH_STRING_CHANNELS["layers"][0]["out_channels"] = "4"
 ARCH_DROPOUT_RATE = json.loads(json.dumps(ARCH))
 ARCH_DROPOUT_RATE["layers"][8]["rate"] = 0.2
+THREE_CLASS_ARCH = configio.dump(logistic_architecture(num_classes=3))
 
 # id, argv, contents of {tmp}/input.json (None: not written), what the error line names
 CONFIG_CASES = [
@@ -91,6 +100,7 @@ SHAPE_64_NAMES = "architecture.input_shape (64, 64, 1) does not match the crops'
 NO_VALIDATION = (
     "fraction 0.2 leaves class 0 with 2 training and 0 validation examples; each class needs at least one on each side"
 )
+THREE_CLASSES = "thresholded prediction is binary; model has 3 classes"
 NO_MANIFEST = "{tmp}/missing.tsv"
 NO_CHECKPOINT = "{tmp}/missing.bin"
 
@@ -137,25 +147,41 @@ UNREAD_INPUT_CASES = [
     ("train-input-shape-64", [*TRAIN, *SHAPE_64], None, 1, SHAPE_64_NAMES),
     ("grid-search-input-shape-64", [*GRID_SEARCH, *SHAPE_64], {"learning_rate": [0.01]}, 1, SHAPE_64_NAMES),
     ("cv-input-shape-64", [*CV, "--k", "2", *SHAPE_64], None, 1, SHAPE_64_NAMES),
+    ("cv-unreadable-crop", ["cv", "--data", "{holed}", "--k", "2", "--out-dir", "{tmp}/out"], None, 2, "ok_0003.pgm"),
+    ("eval-three-class-head", [*EVAL, "--checkpoint", "{three_class}"], None, 1, THREE_CLASSES),
+    ("predict-three-class-head", [*PREDICT, "--checkpoint", "{three_class}", "--data", "{corpus}"], None, 1,
+     THREE_CLASSES),
+    ("cv-three-class-head", [*CV, "--k", "2", "--config", "{tmp}/input.json"], {"architecture": THREE_CLASS_ARCH}, 1,
+     THREE_CLASSES),
+    ("eval-checkpoint-input-shape-64", [*EVAL, "--checkpoint", "{input_64}"], None, 1, SHAPE_64_NAMES),
+    ("predict-checkpoint-input-shape-64", [*PREDICT, "--checkpoint", "{input_64}", "--data", "{corpus}"], None, 1,
+     SHAPE_64_NAMES),
 ]
 
-# id, edit of the checkpoint's JSON header, what the error line names
+# id, edit of the checkpoint's JSON header (the logistic architecture), what the error line names
 CHECKPOINT_CASES = [
-    ("missing-hyperparams", lambda h: h.pop("hyperparams"), "hyperparams: missing required key"),
-    ("string-learning-rate", lambda h: h["hyperparams"].update(learning_rate="x"),
-     'hyperparams.learning_rate: expected a number, got "x"'),
-    ("history-row-without-train-loss", lambda h: h["history"][0].pop("train_loss"),
-     "history[0].train_loss: missing required key"),
-    ("negative-shape", lambda h: h["params"][0].update(shape=[-12321, 2]), "header params are not"),
-    ("duplicate-param-name", lambda h: h["params"].append(h["params"][0]), "header params are not"),
+    ("string-dense-units", lambda h: h["layers"][1].update(units="x"), 'layers[1].units: expected an integer, got "x"'),
+    ("unknown-layer-kind", lambda h: h["layers"][0].update(kind="Conv3D"), "unknown layer kind 'Conv3D'"),
+    ("missing-input-shape", lambda h: h.pop("input_shape"), "input_shape: missing required key"),
+    ("dense-before-flatten", lambda h: h["layers"].pop(0), "layer 0 (Dense): expects a flat vector input"),
+    ("v2-hyperparams-key", lambda h: h.update(hyperparams=configio.dump(Hyperparams())),
+     "unknown key(s) 'hyperparams'"),
 ]
 
 
-def as_v1_header(header):
-    """The header a v1 file of the same model held."""
-    header["format_version"] = 1
-    header["architecture"]["num_classes"] = 2
-    header["hyperparams"].update(optimizer="adam", loss="sparse_categorical_cross_entropy")
+def as_v2_header(header):
+    """The header a v2 file of the same model held: its architecture beside four keys v3 dropped."""
+    architecture = dict(header)
+    shapes = param_shapes(configio.load(ArchitectureSpec, architecture))
+    header.clear()
+    header.update(
+        architecture=architecture,
+        best_epoch=1,
+        history=[{"epoch": 1, "train_loss": 0.7, "train_ce": 0.7, "train_accuracy": 0.5, "val_loss": 0.7,
+                  "val_accuracy": 0.5}],
+        hyperparams=configio.dump(Hyperparams()),
+        params=[{"name": name, "shape": list(shape)} for name, shape in shapes.items()],
+    )
 
 
 # one epoch, should a count check not fire
@@ -183,24 +209,35 @@ COUNT_CASES = [
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """A small corpus, a tiny one, an uneven one, an empty manifest, a one-well frame and a trained logistic checkpoint."""
+    """Corpora (small, tiny, uneven, one with a crop missing, empty), a one-well frame and three checkpoints.
+
+    The checkpoints are a trained logistic model, a trained one with a 3-class
+    head, and an untrained logistic model of 64x64 crops.
+    """
     root = tmp_path_factory.mktemp("workspace")
     assert main(["gen", "--seed", "1", "--ok", "4", "--ng", "4", "--out-dir", str(root / "corpus")]) == 0
     assert main(["gen", "--seed", "2", "--ok", "2", "--ng", "2", "--out-dir", str(root / "tiny")]) == 0
     assert main(["gen", "--seed", "3", "--ok", "2", "--ng", "6", "--out-dir", str(root / "uneven")]) == 0
+    assert main(["gen", "--seed", "1", "--ok", "6", "--ng", "6", "--out-dir", str(root / "holed")]) == 0
+    (root / "holed" / "ok_0003.pgm").unlink()
     (root / "empty.tsv").write_text("#wellqc-manifest v1 num_classes=2\n")
-    assert main([
-        "train", "--model", "logistic", "--data", str(root / "corpus" / "manifest.tsv"),
-        "--out-dir", str(root / "model"), "--set", "hyperparams.epochs=1",
-    ]) == 0
+    train = ["train", "--data", str(root / "corpus" / "manifest.tsv"), "--set", "hyperparams.epochs=1"]
+    assert main([*train, "--model", "logistic", "--out-dir", str(root / "model")]) == 0
+    (root / "three_class.json").write_text(json.dumps({"architecture": THREE_CLASS_ARCH}))
+    assert main([*train, "--config", str(root / "three_class.json"), "--out-dir", str(root / "three_class")]) == 0
+    spec_64 = logistic_architecture((64, 64, 1))
+    Checkpoint(spec_64, init_model(spec_64, np.random.default_rng(0)).params).save(root / "input_64.bin")
     write_pgm(np.zeros((111, 111)), root / "frame.pgm")
     return {
         "corpus": str(root / "corpus" / "manifest.tsv"),
         "tiny": str(root / "tiny" / "manifest.tsv"),
         "uneven": str(root / "uneven" / "manifest.tsv"),
+        "holed": str(root / "holed" / "manifest.tsv"),
         "empty": str(root / "empty.tsv"),
         "frame": str(root / "frame.pgm"),
         "checkpoint": str(root / "model" / "checkpoint.bin"),
+        "three_class": str(root / "three_class" / "checkpoint.bin"),
+        "input_64": str(root / "input_64.bin"),
     }
 
 
@@ -259,15 +296,126 @@ def test_defective_checkpoint_header_exits_2_with_one_line(workspace, tmp_path, 
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: FormatError: "), lines
     assert names in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
-def test_v1_checkpoint_exits_2_with_one_line(workspace, tmp_path, capsys):
+def test_v2_checkpoint_exits_2_with_one_line(workspace, tmp_path, capsys):
     old = tmp_path / "checkpoint.bin"
     shutil.copyfile(workspace["checkpoint"], old)
-    rewrite_header(old, as_v1_header, version=1)
+    rewrite_header(old, as_v2_header, version=2)
     code, lines = run_cli(EVAL, capsys, tmp=tmp_path, **{**workspace, "checkpoint": old})
     assert code == 2
-    assert lines == [f"error: FormatError: {old}: unsupported checkpoint version v1"]
+    assert lines == [f"error: FormatError: {old}: unsupported checkpoint version 'v2'"]
+    assert not (tmp_path / "out").exists()
+
+
+DEEP = "[" * 200_000  # nests past the JSON parser's depth
+
+# id, argv, exit code, what the error line names; {tmp}/input.json holds DEEP
+DEEP_JSON_CASES = [
+    ("config", CONFIG, 1, "ConfigError: {tmp}/input.json: invalid JSON: maximum recursion depth exceeded"),
+    ("tile-grid", TILE, 1, "ConfigError: {tmp}/input.json: invalid JSON: maximum recursion depth exceeded"),
+    ("grid-search-grid", GRID_SEARCH, 1, "ConfigError: {tmp}/input.json: invalid JSON: maximum recursion depth exceeded"),
+    ("arch", GRAD_CHECK, 1, "ConfigError: {tmp}/input.json: invalid JSON: maximum recursion depth exceeded"),
+    ("set-seed", [*TRAIN, "--set", "seed=" + "[" * 5_000], 1,
+     "ConfigError: seed: override value nests past the JSON parser's depth"),
+    ("checkpoint-header", [*EVAL, "--checkpoint", "{tmp}/deep.bin"], 2,
+     "FormatError: {tmp}/deep.bin: bad header: maximum recursion depth exceeded"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, names", [case[1:] for case in DEEP_JSON_CASES], ids=[case[0] for case in DEEP_JSON_CASES]
+)
+def test_json_nested_past_the_parser_depth_exits_with_one_line(workspace, tmp_path, capsys, argv, code, names):
+    (tmp_path / "input.json").write_text(DEEP)
+    blocks = Checkpoint.load(workspace["checkpoint"]).params.values()
+    (tmp_path / "deep.bin").write_bytes(magic_line(len(DEEP)) + DEEP.encode() + b"".join(b.tobytes() for b in blocks))
+    exit_code, lines = run_cli(argv, capsys, tmp=tmp_path, **workspace)
+    assert exit_code == code
+    assert len(lines) == 1 and lines[0].startswith(f"error: {names.format(tmp=tmp_path)}"), lines
+    assert not (tmp_path / "out").exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+SYNTAX_BYTES = st.sampled_from(b' \t\n\r\x0b\x0c\x1c0123456789-"{}[],:')  # separators, digits and JSON syntax
+
+
+def value_paths(value, prefix=()):
+    """The key/index path of every value inside a JSON value, outermost first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield (*prefix, key)
+        yield from value_paths(child, (*prefix, key))
+
+
+def replaced(header, path, value):
+    """A copy of ``header`` with the value at ``path`` replaced by ``value``."""
+    out = json.loads(json.dumps(header))
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+def defective_checkpoints(data: bytes):
+    """A real v3 file cut short, with bytes of its magic line and header overwritten, or with another JSON header.
+
+    Overwrites stay out of the weight blocks, since every 32-bit pattern there
+    is a float32 the decoder must take. Another header is arbitrary JSON, or
+    the file's own header with one value replaced by arbitrary JSON.
+    """
+    nl = data.index(b"\n")
+    header_end = nl + 1 + int(data[:nl].split(b" ")[2])
+    header, blocks = json.loads(data[nl + 1 : header_end]), data[header_end:]
+
+    def overwrite(edits):
+        return bytes(edits.get(i, byte) for i, byte in enumerate(data[:header_end])) + blocks
+
+    def with_header(value):
+        text = json.dumps(value).encode()
+        return magic_line(len(text)) + text + blocks
+
+    one_value_replaced = st.tuples(st.sampled_from(list(value_paths(header))), JSON_VALUES).map(
+        lambda pair: replaced(header, *pair)
+    ).filter(lambda edited: edited != header)
+    return st.one_of(
+        st.integers(0, len(data) - 1).map(lambda n: data[:n]),
+        st.dictionaries(st.integers(0, header_end - 1), SYNTAX_BYTES | st.integers(0, 255), min_size=1, max_size=4)
+        .map(overwrite)
+        .filter(lambda edited: edited != data),
+        (JSON_VALUES | one_value_replaced).map(with_header),
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_dirs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return (root / f"example{i}" for i in itertools.count())
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_defective_v3_checkpoint_exits_2_with_one_line(workspace, fuzz_dirs, data):
+    real = Path(workspace["checkpoint"]).read_bytes()
+    defective = data.draw(defective_checkpoints(real), label="checkpoint")
+    example = next(fuzz_dirs)
+    example.mkdir()
+    (example / "checkpoint.bin").write_bytes(defective)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main([arg.format(tmp=example, **{**workspace, "checkpoint": example / "checkpoint.bin"}) for arg in EVAL])
+    lines = stderr.getvalue().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: FormatError: "), lines
+    assert not (example / "out").exists()
 
 
 # id, argv; {tmp}/small.pgm is a 50x50 crop, which {tmp}/manifest.tsv lists, and {tmp}/well.pgm a 111x111 one

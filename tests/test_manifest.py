@@ -61,6 +61,14 @@ class TestManifestFile:
         with pytest.raises(FormatError, match="duplicate"):
             DatasetManifest(entries=entries)
 
+    def test_path_spelling_another_entrys_example_id_rejected(self):
+        entries = [
+            ManifestEntry(path="a.pgm", label=0, origin="augmented", aug="hflip"),
+            ManifestEntry(path="a.pgm+hflip", label=1),
+        ]
+        with pytest.raises(FormatError, match="duplicate example 'a.pgm\\+hflip'"):
+            DatasetManifest(entries=entries)
+
     def test_same_path_different_aug_allowed(self):
         entries = [
             ManifestEntry(path="a.pgm", label=0),

@@ -22,8 +22,10 @@ from wellqc.nn.model import INFER, init_model, predict_probs
 from wellqc.parallel import blas_threads
 from wellqc.training import search
 from wellqc.training.config import default_run_config
+from wellqc.training.loop import TrainingRun
 from wellqc.training.search import GridSpec, cross_validate, grid_search
 
+STUB_RUN = TrainingRun(checkpoint=None, history=[SimpleNamespace(val_loss=0.5, val_accuracy=0.5)], best_epoch=1)
 needs_openblas = pytest.mark.skipif(parallel._openblas() is None, reason="numpy's bundled OpenBLAS not found")
 
 
@@ -52,18 +54,18 @@ def recording_train(monkeypatch):
     def fake_train(config, train_set, val_set):
         control = parallel._openblas()
         seen.append((threading.current_thread(), control[0]() if control else None))
-        return SimpleNamespace(best_epoch=1, history=[SimpleNamespace(val_loss=0.5, val_accuracy=0.5)])
+        return STUB_RUN
 
     monkeypatch.setattr(search, "train", fake_train)
     return seen
 
 
 @pytest.fixture
-def stub_fold_io(monkeypatch):
-    """The corpus decodes nothing and folds evaluate to a fixed report, so only ``train`` runs."""
-    monkeypatch.setattr(search, "load_examples", lambda manifest: SimpleNamespace(subset=lambda rows: rows))
+def stub_fold_io(monkeypatch, small_corpus):
+    """A pixel-free stand-in for ``small_corpus``'s decoded corpus, and a fixed report per fold: only ``train`` runs."""
     report = SimpleNamespace(values=MetricValues(0.5, None, None, None))
     monkeypatch.setattr(search, "evaluate_checkpoint", lambda checkpoint, val_set: report)
+    return SimpleNamespace(ids=[e.example_id for e in small_corpus.entries], subset=lambda rows: rows)
 
 
 def test_grid_whose_every_cell_fails_writes_its_table_and_exits_1(tmp_path, monkeypatch, capsys):
@@ -165,13 +167,13 @@ class TestRunner:
         assert recording_train == [(threading.main_thread(), 16)] * 2
 
     def test_cross_validate_jobs_2_runs_folds_on_workers(self, recording_train, stub_fold_io, small_corpus):
-        report = cross_validate(default_run_config(), small_corpus, kfold_split(small_corpus, 2, 0), jobs=2)
+        report = cross_validate(default_run_config(), stub_fold_io, kfold_split(small_corpus, 2, 0), jobs=2)
         assert len(report.folds) == 2
         assert [count for _, count in recording_train] == [16, 16]
         assert all(thread is not threading.main_thread() for thread, _ in recording_train)
 
     def test_cross_validate_jobs_1_runs_folds_on_the_caller(self, recording_train, stub_fold_io, small_corpus):
-        cross_validate(default_run_config(), small_corpus, kfold_split(small_corpus, 2, 0), jobs=1)
+        cross_validate(default_run_config(), stub_fold_io, kfold_split(small_corpus, 2, 0), jobs=1)
         assert recording_train == [(threading.main_thread(), 16)] * 2
 
     def test_one_task_runs_serially_whatever_jobs_says(self, recording_train):
@@ -194,7 +196,7 @@ class TestRunner:
             predict_probs(conv, images)
             if raises:
                 raise RuntimeError("task")
-            return SimpleNamespace(best_epoch=1, history=[SimpleNamespace(val_loss=0.5, val_accuracy=0.5)])
+            return STUB_RUN
 
         monkeypatch.setattr(nn_model, "model_forward", recording_forward)
         monkeypatch.setattr(search, "train", predicting_train)

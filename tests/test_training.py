@@ -15,9 +15,10 @@ from wellqc.errors import NonFiniteGradient
 from wellqc.nn import ops
 from wellqc.nn.model import init_model
 from wellqc.parallel import blas_threads
-from wellqc.training.checkpoint import HISTORY_COLUMNS, EpochRecord
 from wellqc.training.config import EarlyStoppingConfig, default_run_config
 from wellqc.training.loop import (
+    HISTORY_COLUMNS,
+    EpochRecord,
     batch_slices,
     best_epoch,
     evaluate_model,
@@ -87,12 +88,12 @@ class TestTrainLoop:
         # lr must be positive per the config contract; drive the null-update
         # case with the smallest positive float so updates vanish in float32
         config = small_config(dropout_rate=0.0, epochs=3, learning_rate=5e-324)
-        checkpoint = train(config, train_set, val_set)
+        run = train(config, train_set, val_set)
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
         reference = init_model(config.architecture, rng)
         for key in reference.params:
-            npt.assert_array_equal(checkpoint.params[key], reference.params[key])
-        losses = [r.train_loss for r in checkpoint.history]
+            npt.assert_array_equal(run.checkpoint.params[key], reference.params[key])
+        losses = [r.train_loss for r in run.history]
         assert max(losses) - min(losses) < 1e-6
 
     @pytest.mark.parametrize("rate", [0.0, 0.5])
@@ -123,19 +124,19 @@ class TestTrainLoop:
     def test_rerun_is_bit_identical(self, small_split):
         train_set, val_set = small_split
         config = small_config(epochs=2)
-        ckpt_a = train(config, train_set, val_set)
-        ckpt_b = train(config, train_set, val_set)
-        assert history_csv(ckpt_a.history) == history_csv(ckpt_b.history)
-        for key in ckpt_a.params:
-            npt.assert_array_equal(ckpt_a.params[key], ckpt_b.params[key])
+        run_a = train(config, train_set, val_set)
+        run_b = train(config, train_set, val_set)
+        assert history_csv(run_a.history) == history_csv(run_b.history)
+        for key in run_a.checkpoint.params:
+            npt.assert_array_equal(run_a.checkpoint.params[key], run_b.checkpoint.params[key])
 
     def test_checkpoint_holds_best_epoch_weights(self, small_split):
         train_set, val_set = small_split
         config = small_config(epochs=4)
-        checkpoint = train(config, train_set, val_set)
-        best = min(checkpoint.history, key=lambda r: (r.val_loss, r.epoch))
-        assert checkpoint.best_epoch == best.epoch
-        model = checkpoint.to_model()
+        run = train(config, train_set, val_set)
+        best = min(run.history, key=lambda r: (r.val_loss, r.epoch))
+        assert run.best_epoch == best.epoch and run.best == best
+        model = run.checkpoint.to_model()
         val_loss, val_acc = evaluate_model(model, val_set.images, val_set.labels)
         assert val_loss == pytest.approx(best.val_loss, abs=1e-6)
         assert val_acc == pytest.approx(best.val_accuracy, abs=1e-9)
@@ -147,10 +148,10 @@ class TestTrainLoop:
             small_config(epochs=40, learning_rate=1e-12, dropout_rate=0.0),
             early_stopping=EarlyStoppingConfig(enabled=True, metric="val_loss", patience=3),
         )
-        checkpoint = train(config, train_set, val_set)
-        assert len(checkpoint.history) < 40
-        assert checkpoint.best_epoch == best_epoch(checkpoint.history, "val_loss")
-        assert len(checkpoint.history) == checkpoint.best_epoch + 3
+        run = train(config, train_set, val_set)
+        assert len(run.history) < 40
+        assert run.best_epoch == best_epoch(run.history, "val_loss")
+        assert len(run.history) == run.best_epoch + 3
 
     def test_early_stopping_can_be_disabled(self, small_split):
         train_set, val_set = small_split
@@ -229,7 +230,7 @@ class TestLogisticBaseline:
     def test_parameter_count_is_24644(self, small_split):
         train_set, val_set = small_split
         config = small_config(epochs=1)
-        checkpoint = train(config.as_logistic_baseline(), train_set, val_set)
+        checkpoint = train(config.as_logistic_baseline(), train_set, val_set).checkpoint
         total = sum(int(v.size) for v in checkpoint.params.values())
         assert total == 111 * 111 * 2 + 2 == 24644
 
@@ -252,12 +253,13 @@ class TestLogisticBaseline:
         train_set = Dataset(images=images[:48], labels=labels[:48], ids=ids[:48])
         val_set = Dataset(images=images[48:], labels=labels[48:], ids=ids[48:])
         config = small_config(epochs=10)
-        checkpoint = train(config.as_logistic_baseline(), train_set, val_set)
-        assert max(r.val_accuracy for r in checkpoint.history) == 1.0
+        history = train(config.as_logistic_baseline(), train_set, val_set).history
+        assert max(r.val_accuracy for r in history) == 1.0
 
     def test_uses_same_machinery_without_dropout(self, small_split):
         train_set, val_set = small_split
         config = small_config(epochs=1, dropout_rate=0.5)
-        checkpoint = train(config.as_logistic_baseline(), train_set, val_set)
+        baseline = config.as_logistic_baseline()
+        checkpoint = train(baseline, train_set, val_set).checkpoint
         assert [l.kind for l in checkpoint.spec.layers] == ["Flatten", "Dense", "Softmax"]
-        assert checkpoint.hyperparams.dropout_rate == 0.0
+        assert baseline.hyperparams.dropout_rate == 0.0
