@@ -21,6 +21,10 @@ A --set value is parsed as JSON when it can be, so "--set seed=3" gives the
 integer 3 and "--set early_stopping.enabled=false" the boolean; anything else
 stays a string and fails where a number or boolean is expected. Checkpoint and
 manifest defects are format errors and exit 2.
+
+A manifest (--data) is "#wellqc-manifest v2 num_classes=2", then one
+"path<TAB>label" line per crop, its path relative to the manifest and listed
+once; ``gen`` writes one, and ``tile`` one whose labels "-" are to be filled in.
 """
 
 import argparse
@@ -36,7 +40,6 @@ import numpy as np
 
 from wellqc import __version__, configio
 from wellqc.errors import EmptyEvaluation, FormatError, GradCheckFailure, NonFiniteGradient, ShapeError, WellQcError
-from wellqc.data.augment import AUG_NONE
 from wellqc.data.manifest import DatasetManifest, load_examples, read_crops, write_manifest
 from wellqc.data.pgm import read_pgm, write_pgm
 from wellqc.data.splits import kfold_split, split_train_val
@@ -143,7 +146,7 @@ def cmd_tile(args) -> int:
         names.append(f"r{row:03d}c{col:03d}.pgm")
         write_pgm(pixels, out_dir / names[-1], maxval=255)
     skeleton = out_dir / "manifest_skeleton.tsv"
-    write_manifest(skeleton, 2, [(name, "-", "real", AUG_NONE) for name in names])
+    write_manifest(skeleton, 2, [(name, "-") for name in names])
     print(f"tile: wrote {len(crops)} crops and {skeleton.name} to {out_dir} (fill in labels)")
     return EXIT_OK
 

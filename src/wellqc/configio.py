@@ -21,7 +21,7 @@ import math
 import types
 import typing
 
-from wellqc.errors import ConfigError
+from wellqc.errors import ConfigError, shorten
 
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 _CONTAINERS = {list: "an array", tuple: "an array", dict: "an object"}
@@ -121,6 +121,6 @@ def _encode(value):
 
 
 def _wrong_type(path: str, expected: str, value) -> ConfigError:
-    """Names an array or object by its kind, so the message stays one short line however deep the value nests."""
-    shown = _CONTAINERS.get(type(value)) or json.dumps(value, default=repr)
+    """Names an array or object by its kind and cuts a long value, so the message stays one short line."""
+    shown = _CONTAINERS.get(type(value)) or shorten(json.dumps(value, default=repr))
     return ConfigError(f"{path}: expected {expected}, got {shown}")

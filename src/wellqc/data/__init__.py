@@ -1,1 +1,1 @@
-"""Image I/O, tiling, labeling, augmentation, synthesis, and splitting."""
+"""Image I/O, tiling, manifests, synthesis, and splitting."""

@@ -1,50 +1,37 @@
-"""Dataset manifests: which image files exist, their labels and provenance.
+"""Dataset manifests: which crop files make up a dataset, and their labels.
 
-A manifest is a TSV file with one record per line:
+A manifest is a UTF-8 TSV file: a header line, then one record per line,
 
-    #wellqc-manifest v1 num_classes=2
-    path<TAB>label<TAB>origin<TAB>augmentation
+    #wellqc-manifest v2 num_classes=2
+    path<TAB>label
 
-``origin`` is real | synthetic | augmented; ``augmentation`` is none | hflip |
-vflip | rot180 and is applied on load, so augmented entries reference their
-source file rather than duplicating pixels on disk. An example's id, its
-path with "+<augmentation>" appended when it has one, may not repeat.
+``path`` is relative to the manifest's directory, and ``label`` is an integer
+in [0, num_classes). Each path may appear once ("./a.pgm" is "a.pgm"), so no
+split can put one image on both of its sides; a repeated path is a FormatError
+that names it. A v1 file, which tagged entries with an origin and an
+augmentation, is rejected with a line that says how to turn it into v2.
 
-``load_examples`` turns a manifest into one preallocated image batch. It
-decodes each file once, writes its augmented rows in place, and keeps no
-decoded crop after that, so a load holds the corpus once, not twice.
+``load_examples`` turns a manifest into one preallocated image batch,
+decoding each file straight into its row, so a load holds the corpus once.
 """
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from wellqc.errors import FormatError, LabelError
-from wellqc.data.augment import AUG_NONE, AUG_OPS, augment_pixels
+from wellqc.errors import FormatError, LabelError, shorten
 from wellqc.data.pgm import read_pgm
 from wellqc.data.wells import CROP_SIZE
 
-MANIFEST_VERSION = 1
-ORIGINS = ("real", "synthetic", "augmented")
+MANIFEST_VERSION = 2
 
 
 @dataclass(frozen=True)
 class ManifestEntry:
     path: str
     label: int
-    origin: str = "real"
-    aug: str = AUG_NONE
-
-    def __post_init__(self):
-        if self.origin not in ORIGINS:
-            raise FormatError(f"unknown origin {self.origin!r}")
-        if self.aug != AUG_NONE and self.aug not in AUG_OPS:
-            raise FormatError(f"unknown augmentation {self.aug!r}")
-
-    @property
-    def example_id(self) -> str:
-        return self.path if self.aug == AUG_NONE else f"{self.path}+{self.aug}"
 
 
 @dataclass
@@ -53,19 +40,6 @@ class DatasetManifest:
     num_classes: int = 2
     root: Path | None = None  # directory paths are relative to; not serialized
 
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> "DatasetManifest":
-        seen = set()
-        for e in self.entries:
-            if not 0 <= e.label < self.num_classes:
-                raise LabelError(f"{e.path}: label {e.label} outside [0, {self.num_classes})")
-            if e.example_id in seen:
-                raise FormatError(f"duplicate example {e.example_id!r}")
-            seen.add(e.example_id)
-        return self
-
     def class_counts(self) -> dict[int, int]:
         counts = {c: 0 for c in range(self.num_classes)}
         for e in self.entries:
@@ -73,7 +47,7 @@ class DatasetManifest:
         return counts
 
     def save(self, path) -> None:
-        write_manifest(path, self.num_classes, ((e.path, e.label, e.origin, e.aug) for e in self.entries))
+        write_manifest(path, self.num_classes, ((e.path, e.label) for e in self.entries))
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
@@ -93,45 +67,51 @@ class DatasetManifest:
             version = int(header[1].lstrip("v"))
             num_classes = int(dict(kv.split("=") for kv in header[2:])["num_classes"])
         except (IndexError, KeyError, ValueError):
-            raise FormatError(f"{path}: malformed header {lines[0]!r}", offset=0) from None
+            raise FormatError(f"{path}: malformed header {shorten(repr(lines[0]))}", offset=0) from None
+        if version == 1:
+            raise FormatError(
+                f"{path}: manifest version 1 is no longer read; to make it v2, keep only the rows whose 4th field is "
+                "'none', cut each to its first two fields (path and label), and change the header's v1 to v2"
+            )
         if version != MANIFEST_VERSION:
-            raise FormatError(f"{path}: unsupported manifest version {version}")
-        entries = []
+            raise FormatError(f"{path}: unsupported manifest version {shorten(repr(header[1]))}")
+        entries = {}  # path -> entry
         for line, offset in zip(lines[1:], offsets[1:]):
-            if line.strip():
-                parts = line.split("\t")
-                if len(parts) != 4:
-                    raise FormatError(f"{path}: expected 4 tab-separated fields, got {len(parts)}", offset=offset)
-                p, label, origin, aug = parts
-                if label == "-":
-                    raise FormatError(
-                        f"{path}: entry {p} has no label; fill in the manifest skeleton first",
-                        offset=offset,
-                    )
-                try:
-                    label = int(label)
-                except ValueError:
-                    raise FormatError(
-                        f"{path}: entry {p} has label {label!r}, not an integer", offset=offset
-                    ) from None
-                entries.append(ManifestEntry(path=p, label=label, origin=origin, aug=aug))
-        return cls(entries=entries, num_classes=num_classes, root=path.parent)
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise FormatError(f"{path}: expected 2 tab-separated fields, got {len(parts)}", offset=offset)
+            p, label = os.path.normpath(parts[0]), parts[1]  # one spelling per path: "./a.pgm" is "a.pgm"
+            entry = f"{path}: entry {shorten(repr(p))}"
+            if label == "-":
+                raise FormatError(f"{entry} has no label; fill in the manifest skeleton first", offset=offset)
+            try:
+                value = int(label)
+            except ValueError:
+                raise FormatError(f"{entry} has label {shorten(repr(label))}, not an integer", offset=offset) from None
+            if not 0 <= value < num_classes:
+                raise LabelError(f"{entry} has label {shorten(repr(label))}, outside [0, {num_classes})")
+            if p in entries:
+                raise FormatError(f"{entry} is listed twice; an image may appear once", offset=offset)
+            entries[p] = ManifestEntry(path=p, label=value)
+        return cls(entries=list(entries.values()), num_classes=num_classes, root=path.parent)
 
 
 def write_manifest(path, num_classes: int, records) -> None:
-    """Write the header line and one (path, label, origin, augmentation) record per line.
+    """Write the header line and one (path, label) record per line.
 
     A label of "-" marks an unlabelled record, as in the skeleton ``tile``
     writes; ``DatasetManifest.load`` rejects it until it is filled in.
     """
     lines = [f"#wellqc-manifest v{MANIFEST_VERSION} num_classes={num_classes}"]
-    lines += [f"{p}\t{label}\t{origin}\t{aug}" for p, label, origin, aug in records]
+    lines += [f"{p}\t{label}" for p, label in records]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @dataclass
 class Dataset:
-    """Materialized examples: image stack, labels, and stable example ids."""
+    """Materialized examples: image stack, labels, and ids (the manifest paths)."""
 
     images: np.ndarray  # (N, 111, 111, 1) float32 in [0, 1]
     labels: np.ndarray  # (N,) int64
@@ -146,46 +126,32 @@ class Dataset:
 
 
 def load_examples(manifest: DatasetManifest) -> Dataset:
-    """Read every manifest entry into one batch, applying tagged augmentations.
+    """Read every manifest entry into one batch; an example's id is its path.
 
     Paths are relative to the manifest's directory, or to the working
-    directory for a manifest that was not loaded from a file. The pixels
-    come from ``read_crops``, so each file is decoded once however many
-    augmentations list it, and the first unreadable file in entry order is
-    the one the error names.
+    directory for a manifest that was not loaded from a file.
     """
     base = manifest.root or Path(".")
-    entries = manifest.entries
-    images = read_crops([base / e.path for e in entries], [e.aug for e in entries])
-    labels = np.array([e.label for e in entries], dtype=np.int64)
-    return Dataset(images=images, labels=labels, ids=[e.example_id for e in entries])
+    try:
+        images = read_crops([base / e.path for e in manifest.entries])
+    except OSError as exc:  # the file name comes from the manifest: cut it like any value quoted from a file
+        exc.filename = exc.filename and shorten(str(exc.filename))
+        raise
+    labels = np.array([e.label for e in manifest.entries], dtype=np.int64)
+    return Dataset(images=images, labels=labels, ids=[e.path for e in manifest.entries])
 
 
-def read_crops(paths, augs=None) -> np.ndarray:
-    """Decode crops into one (N, 111, 111, 1) float32 batch; row i is ``paths[i]`` under ``augs[i]``.
+def read_crops(paths) -> np.ndarray:
+    """Decode crops into one (N, 111, 111, 1) float32 batch; row i is ``paths[i]``.
 
-    Each distinct path is decoded once, in order of its first row, and
-    written straight into each of its rows; no decoded crop outlives its
-    rows, so the batch is the only copy of the pixels. ``augs`` defaults to
-    no augmentation for every row.
+    Each file is decoded straight into its row, so the batch is the only copy
+    of the pixels. A crop of another size is a FormatError naming its file.
     """
-    if augs is None:
-        augs = [AUG_NONE] * len(paths)
     images = np.empty((len(paths), CROP_SIZE, CROP_SIZE, 1), dtype=np.float32)
-    rows_of: dict = {}
     for i, path in enumerate(paths):
-        rows_of.setdefault(path, []).append(i)
-    for path, rows in rows_of.items():
-        pixels = read_crop(path)
-        for i in rows:
-            images[i, :, :, 0] = augment_pixels(pixels, augs[i])
+        pixels, _ = read_pgm(path)
+        if pixels.shape != (CROP_SIZE, CROP_SIZE):
+            height, width = pixels.shape
+            raise FormatError(f"{path}: crop is {width}x{height} pixels, expected {CROP_SIZE}x{CROP_SIZE}")
+        images[i, :, :, 0] = pixels
     return images
-
-
-def read_crop(path) -> np.ndarray:
-    """One well crop's (111, 111) float32 pixels; another size is a FormatError naming the file."""
-    pixels, _ = read_pgm(path)
-    if pixels.shape != (CROP_SIZE, CROP_SIZE):
-        height, width = pixels.shape
-        raise FormatError(f"{path}: crop is {width}x{height} pixels, expected {CROP_SIZE}x{CROP_SIZE}")
-    return pixels

@@ -139,7 +139,7 @@ def generate_synthetic(seed: int, n_ok: int, n_ng: int, defect_mix=None, out_dir
             name, label = f"ng_{i - n_ok:04d}.pgm", LABEL_NG
             pixels = render_well(rng, defect=_pick_defect(rng, mix))
         write_pgm(pixels, out_dir / name, maxval=255)
-        entries.append(ManifestEntry(path=name, label=label, origin="synthetic"))
+        entries.append(ManifestEntry(path=name, label=label))
 
     manifest = DatasetManifest(entries=entries, root=out_dir)
     manifest.save(out_dir / "manifest.tsv")

@@ -5,6 +5,16 @@ callers (notably the CLI) can distinguish contract violations from plain I/O
 failures, which surface as the built-in OSError family.
 """
 
+SHOWN_END = 30  # characters a message keeps from each end of a long value
+
+
+def shorten(text: str) -> str:
+    """``text``, or its first and last ``SHOWN_END`` characters joined by "...", so a message quoting it stays short.
+
+    Pass a value's quoted form (``repr`` or ``json.dumps``), which escapes line breaks, to keep the message one line.
+    """
+    return text if len(text) <= 2 * SHOWN_END else f"{text[:SHOWN_END]}...{text[-SHOWN_END:]}"
+
 
 class WellQcError(Exception):
     """Base class for all wellqc-specific errors."""

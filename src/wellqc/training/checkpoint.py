@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from wellqc import configio
-from wellqc.errors import FormatError, WellQcError
+from wellqc.errors import FormatError, WellQcError, shorten
 from wellqc.nn.arch import ArchitectureSpec
 from wellqc.nn.model import INFER, Model, param_shapes
 
@@ -61,11 +61,12 @@ class Checkpoint:
             raise FormatError(f"{path}: missing checkpoint magic line", offset=0)
         parts = data[:nl].split(b" ")
         if len(parts) != 3 or parts[0] != _MAGIC:
-            raise FormatError(f"{path}: bad magic line {data[:nl]!r}", offset=0)
+            raise FormatError(f"{path}: bad magic line {shorten(repr(data[:nl]))}", offset=0)
         if parts[1] != b"v%d" % CHECKPOINT_VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {parts[1].decode('ascii', 'replace')!r}")
+            version = parts[1].decode("ascii", "replace")
+            raise FormatError(f"{path}: unsupported checkpoint version {shorten(repr(version))}")
         if not parts[2].isdigit():
-            raise FormatError(f"{path}: bad header length {parts[2]!r}", offset=0)
+            raise FormatError(f"{path}: bad header length {shorten(repr(parts[2]))}", offset=0)
         header_len = int(parts[2])
 
         header_start = nl + 1

@@ -160,12 +160,12 @@ def cross_validate(config: RunConfig, corpus, pairs, jobs: int = 1) -> CvReport:
     """Train one model per (train, val) pair of ``kfold_split`` and aggregate metrics.
 
     ``corpus`` is the whole manifest, decoded once by ``load_examples``; each
-    fold copies out its own rows, found by example id, when it starts, so at
+    fold copies out its own rows, found by path, when it starts, so at
     most ``jobs`` folds' copies are held at a time.
     """
-    row = {example_id: i for i, example_id in enumerate(corpus.ids)}
+    row = {path: i for i, path in enumerate(corpus.ids)}
     tasks = [
-        (i, config, corpus, [row[e.example_id] for e in tr.entries], [row[e.example_id] for e in va.entries])
+        (i, config, corpus, [row[e.path] for e in tr.entries], [row[e.path] for e in va.entries])
         for i, (tr, va) in enumerate(pairs)
     ]
     folds = run_tasks(_run_fold, tasks, jobs)

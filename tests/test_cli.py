@@ -163,7 +163,7 @@ def test_grad_check_passes(runs):
 
 def test_predict_on_an_empty_manifest_writes_only_the_header(runs, tmp_path):
     (tmp_path / "checkpoint.bin").write_bytes(runs[0]["cnn/checkpoint.bin"])
-    (tmp_path / "manifest.tsv").write_text("#wellqc-manifest v1 num_classes=2\n")
+    (tmp_path / "manifest.tsv").write_text("#wellqc-manifest v2 num_classes=2\n")
     call("predict", "--checkpoint", str(tmp_path / "checkpoint.bin"), "--data", str(tmp_path / "manifest.tsv"),
          "--out-dir", str(tmp_path / "out"))
     assert (tmp_path / "out" / "predictions.csv").read_text() == "id,predicted_label,prob_defective\n"

@@ -7,6 +7,7 @@ size, a truncated PGM). No input may end in a traceback.
 """
 
 import contextlib
+import csv
 import io
 import itertools
 import json
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wellqc import configio
 from wellqc.cli import main
+from wellqc.data.manifest import DatasetManifest
 from wellqc.data.pgm import write_pgm
 from wellqc.nn.arch import ArchitectureSpec, default_architecture, logistic_architecture
 from wellqc.nn.model import init_model, param_shapes
@@ -148,6 +150,10 @@ UNREAD_INPUT_CASES = [
     ("grid-search-input-shape-64", [*GRID_SEARCH, *SHAPE_64], {"learning_rate": [0.01]}, 1, SHAPE_64_NAMES),
     ("cv-input-shape-64", [*CV, "--k", "2", *SHAPE_64], None, 1, SHAPE_64_NAMES),
     ("cv-unreadable-crop", ["cv", "--data", "{holed}", "--k", "2", "--out-dir", "{tmp}/out"], None, 2, "ok_0003.pgm"),
+    ("train-path-listed-twice", ["train", "--data", "{repeated}", "--out-dir", "{tmp}/out"], None, 2,
+     "entry 'ok_0000.pgm' is listed twice"),
+    ("cv-path-listed-twice", ["cv", "--data", "{repeated}", "--k", "2", "--out-dir", "{tmp}/out"], None, 2,
+     "entry 'ok_0000.pgm' is listed twice"),
     ("eval-three-class-head", [*EVAL, "--checkpoint", "{three_class}"], None, 1, THREE_CLASSES),
     ("predict-three-class-head", [*PREDICT, "--checkpoint", "{three_class}", "--data", "{corpus}"], None, 1,
      THREE_CLASSES),
@@ -209,7 +215,8 @@ COUNT_CASES = [
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Corpora (small, tiny, uneven, one with a crop missing, empty), a one-well frame and three checkpoints.
+    """Corpora (small, tiny, uneven, one with a crop missing, empty, one listing a crop twice), a one-well frame and
+    three checkpoints.
 
     The checkpoints are a trained logistic model, a trained one with a 3-class
     head, and an untrained logistic model of 64x64 crops.
@@ -220,7 +227,9 @@ def workspace(tmp_path_factory):
     assert main(["gen", "--seed", "3", "--ok", "2", "--ng", "6", "--out-dir", str(root / "uneven")]) == 0
     assert main(["gen", "--seed", "1", "--ok", "6", "--ng", "6", "--out-dir", str(root / "holed")]) == 0
     (root / "holed" / "ok_0003.pgm").unlink()
-    (root / "empty.tsv").write_text("#wellqc-manifest v1 num_classes=2\n")
+    (root / "empty.tsv").write_text("#wellqc-manifest v2 num_classes=2\n")
+    records = (root / "corpus" / "manifest.tsv").read_text().splitlines(keepends=True)
+    (root / "corpus" / "repeated.tsv").write_text("".join([*records, records[1]]))
     train = ["train", "--data", str(root / "corpus" / "manifest.tsv"), "--set", "hyperparams.epochs=1"]
     assert main([*train, "--model", "logistic", "--out-dir", str(root / "model")]) == 0
     (root / "three_class.json").write_text(json.dumps({"architecture": THREE_CLASS_ARCH}))
@@ -234,6 +243,7 @@ def workspace(tmp_path_factory):
         "uneven": str(root / "uneven" / "manifest.tsv"),
         "holed": str(root / "holed" / "manifest.tsv"),
         "empty": str(root / "empty.tsv"),
+        "repeated": str(root / "corpus" / "repeated.tsv"),
         "frame": str(root / "frame.pgm"),
         "checkpoint": str(root / "model" / "checkpoint.bin"),
         "three_class": str(root / "three_class" / "checkpoint.bin"),
@@ -430,7 +440,7 @@ CROP_CASES = [
 def test_crop_of_another_size_exits_2_naming_its_file(workspace, tmp_path, capsys, argv):
     write_pgm(np.zeros((111, 111)), tmp_path / "well.pgm")
     write_pgm(np.zeros((50, 50)), tmp_path / "small.pgm")
-    (tmp_path / "manifest.tsv").write_text("#wellqc-manifest v1 num_classes=2\nwell.pgm\t0\treal\tnone\nsmall.pgm\t1\treal\tnone\n")
+    (tmp_path / "manifest.tsv").write_text("#wellqc-manifest v2 num_classes=2\nwell.pgm\t0\nsmall.pgm\t1\n")
     code, lines = run_cli(argv, capsys, tmp=tmp_path, **workspace)
     assert code == 2
     assert lines == [f"error: FormatError: {tmp_path / 'small.pgm'}: crop is 50x50 pixels, expected 111x111"]
@@ -453,7 +463,7 @@ def test_truncated_pgm_exits_2_naming_its_file(workspace, tmp_path, capsys, argv
     data = (tmp_path / "cut.pgm").read_bytes()
     header = len(b"P5\n111 111\n255\n")
     (tmp_path / "cut.pgm").write_bytes(data[: header + 3])
-    (tmp_path / "manifest.tsv").write_text("#wellqc-manifest v1 num_classes=2\ncut.pgm\t0\treal\tnone\n")
+    (tmp_path / "manifest.tsv").write_text("#wellqc-manifest v2 num_classes=2\ncut.pgm\t0\n")
     (tmp_path / "input.json").write_text(json.dumps(TILE_GRID))
     code, lines = run_cli(argv, capsys, tmp=tmp_path, **workspace)
     assert code == 2
@@ -465,7 +475,7 @@ def test_truncated_pgm_exits_2_naming_its_file(workspace, tmp_path, capsys, argv
 
 def test_non_integer_manifest_label_exits_2_with_its_offset(workspace, tmp_path, capsys):
     manifest = tmp_path / "manifest.tsv"
-    manifest.write_text("#wellqc-manifest v1 num_classes=2\nwell.pgm\tx\treal\tnone\n")
+    manifest.write_text("#wellqc-manifest v2 num_classes=2\nwell.pgm\tx\n")
     code, lines = run_cli(EVAL, capsys, tmp=tmp_path, **{**workspace, "corpus": manifest})
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: FormatError: "), lines
@@ -474,11 +484,11 @@ def test_non_integer_manifest_label_exits_2_with_its_offset(workspace, tmp_path,
 
 # id, manifest bytes, what the error line names; the offset counts bytes, not characters
 MANIFEST_CASES = [
-    ("non-utf8-path", b"#wellqc-manifest v1 num_classes=2\n\xff\xfe.pgm\t0\treal\tnone\n",
+    ("non-utf8-path", b"#wellqc-manifest v2 num_classes=2\n\xff\xfe.pgm\t0\n",
      "not UTF-8 text (invalid start byte) (byte offset 34)"),
     ("bad-label-after-non-ascii-path",
-     "#wellqc-manifest v1 num_classes=2\nbrunnen-\u00fc.pgm\t0\treal\tnone\nwell.pgm\tx\treal\tnone\n".encode(),
-     "label 'x', not an integer (byte offset 61)"),
+     "#wellqc-manifest v2 num_classes=2\nbrunnen-\u00fc.pgm\t0\nwell.pgm\tx\n".encode(),
+     "label 'x', not an integer (byte offset 51)"),
 ]
 
 
@@ -492,6 +502,138 @@ def test_defective_manifest_exits_2_with_its_byte_offset(workspace, tmp_path, ca
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: FormatError: "), lines
     assert names in lines[0]
+
+
+def as_v1_manifest(text):
+    """The manifest a v1 file of the same corpus held: each record tagged, and each crop listed again under hflip."""
+    header, *records = text.splitlines()
+    rows = [f"{r}\treal\tnone" for r in records] + [f"{r}\taugmented\thflip" for r in records]
+    return "\n".join([header.replace(" v2 ", " v1 "), *rows]) + "\n"
+
+
+def test_v1_manifest_exits_2_with_one_line(workspace, tmp_path, capsys):
+    old = tmp_path / "manifest.tsv"
+    old.write_text(as_v1_manifest(Path(workspace["corpus"]).read_text()))
+    code, lines = run_cli(TRAIN, capsys, tmp=tmp_path, **{**workspace, "corpus": old})
+    assert code == 2
+    assert lines == [
+        f"error: FormatError: {old}: manifest version 1 is no longer read; to make it v2, keep only the rows whose "
+        "4th field is 'none', cut each to its first two fields (path and label), and change the header's v1 to v2"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+LONG = 100_000
+V2 = "#wellqc-manifest v2 num_classes=2\n"
+TRAIN_ON_INPUT = ["train", "--data", "{tmp}/input", "--out-dir", "{tmp}/out"]
+EVAL_INPUT = [*EVAL, "--checkpoint", "{tmp}/input"]
+
+# id, argv, contents of {tmp}/input (None: not written), exit code, what the error line names
+QUOTED_VALUE_CASES = [
+    ("set-long-learning-rate", [*TRAIN, "--set", "hyperparams.learning_rate=" + "a" * LONG], None, 1,
+     'ConfigError: hyperparams.learning_rate: expected a number, got "aaaaa'),
+    ("v1-manifest-long-label", TRAIN_ON_INPUT,
+     "#wellqc-manifest v1 num_classes=2\na.pgm\t" + "x" * LONG + "\treal\tnone\n", 2,
+     "manifest version 1 is no longer read"),
+    ("manifest-long-label", TRAIN_ON_INPUT, V2 + "a.pgm\t" + "x" * LONG + "\n", 2, "entry 'a.pgm' has label 'xxxxx"),
+    ("manifest-long-path", TRAIN_ON_INPUT, V2 + "x" * LONG + "\t-\n", 2, "entry 'xxxxx"),
+    ("manifest-long-header", TRAIN_ON_INPUT, "#wellqc-manifest v2 num_classes=" + "x" * LONG + "\n", 2,
+     "malformed header '#wellqc-manifest v2 num_class...xxxxx"),
+    ("manifest-long-version", TRAIN_ON_INPUT, "#wellqc-manifest v" + "9" * 4_000 + " num_classes=2\n", 2,
+     "unsupported manifest version 'v999"),
+    ("manifest-vertical-tab-in-path", TRAIN_ON_INPUT, V2 + "a\x0bb.pgm\t-\n", 2,
+     r"entry 'a\x0bb.pgm' has no label; fill in the manifest skeleton first"),
+    ("manifest-file-separator-in-path", TRAIN_ON_INPUT, V2 + "a\x1cb.pgm\tx\n", 2,
+     r"entry 'a\x1cb.pgm' has label 'x', not an integer"),
+    ("manifest-line-separator-in-path", TRAIN_ON_INPUT, V2 + "a\u2028b.pgm\t7\n", 1,
+     r"LabelError: {tmp}/input: entry 'a\u2028b.pgm' has label '7', outside [0, 2)"),
+    ("checkpoint-long-magic-line", EVAL_INPUT, b"x" * LONG + b"\n", 2, "bad magic line b'xxxxx"),
+    ("checkpoint-long-version", EVAL_INPUT, b"WELLQC-CKPT v" + b"3" * LONG + b" 10\n", 2,
+     "unsupported checkpoint version 'v33333"),
+    ("checkpoint-long-header-length", EVAL_INPUT, b"WELLQC-CKPT v3 " + b"x" * LONG + b"\n", 2,
+     "bad header length b'xxxxx"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, content, code, names", [case[1:] for case in QUOTED_VALUE_CASES], ids=[case[0] for case in QUOTED_VALUE_CASES]
+)
+def test_value_from_an_input_is_quoted_on_one_short_line(workspace, tmp_path, capsys, argv, content, code, names):
+    if content is not None:
+        (tmp_path / "input").write_bytes(content if isinstance(content, bytes) else content.encode())
+    exit_code, lines = run_cli(argv, capsys, tmp=tmp_path, **workspace)
+    assert exit_code == code
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert names.format(tmp=tmp_path) in lines[0]
+    assert len(lines[0].replace(str(tmp_path), "").encode()) < 300, len(lines[0])
+    assert not (tmp_path / "out").exists()
+
+
+MANIFEST_BYTES = st.sampled_from(b"\t\n\r\x0b\x1c0123456789-")  # separators, digits and the unlabelled mark
+FIELD_TEXT = (
+    st.text(st.sampled_from("\t\n\r\x0b\x1c0123456789-") | st.characters(codec="utf-8"), max_size=6)
+    | st.integers(100, 2_000).map(lambda n: "x" * n)
+)
+
+
+def defective_manifests(data: bytes):
+    """A real v2 manifest cut short, with 1-4 bytes overwritten, with a line listed twice, with a field added or
+    replaced, or with a record's two fields replaced.
+
+    Overwrites lean toward separators, digits and "-". A new field is short text that leans the same way, or a run of
+    hundreds of characters.
+    """
+    lines = data.decode().splitlines(keepends=True)
+
+    def overwrite(edits):
+        return bytes(edits.get(i, byte) for i, byte in enumerate(data))
+
+    def listed_twice(pair):
+        line, at = pair
+        return "".join([*lines[:at], lines[line], *lines[at:]]).encode()
+
+    def with_field(edit):
+        line, index, text, replace = edit
+        fields = lines[line].rstrip("\n").split("\t")
+        fields[index % len(fields) : index % len(fields) + replace] = [text]
+        return "".join([*lines[:line], "\t".join(fields) + "\n", *lines[line + 1 :]]).encode()
+
+    return st.one_of(
+        st.integers(0, len(data) - 1).map(lambda n: data[:n]),
+        st.dictionaries(st.integers(0, len(data) - 1), MANIFEST_BYTES | st.integers(0, 255), min_size=1, max_size=4)
+        .map(overwrite)
+        .filter(lambda edited: edited != data),
+        st.tuples(st.integers(0, len(lines) - 1), st.integers(1, len(lines))).map(listed_twice),
+        st.tuples(st.integers(1, len(lines) - 1), st.integers(0, 2), FIELD_TEXT, st.integers(0, 1))
+        .map(with_field)
+        .filter(lambda edited: edited != data),
+        st.tuples(st.integers(1, len(lines) - 1), FIELD_TEXT, FIELD_TEXT).map(
+            lambda edit: "".join([*lines[: edit[0]], f"{edit[1]}\t{edit[2]}\n", *lines[edit[0] + 1 :]]).encode()
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_defective_v2_manifest_predicts_or_exits_with_one_short_line(workspace, fuzz_dirs, data):
+    corpus = Path(workspace["corpus"])
+    defective = data.draw(defective_manifests(corpus.read_bytes()), label="manifest")
+    manifest = corpus.with_name("fuzzed.tsv")  # beside the crops its paths name
+    manifest.write_bytes(defective)
+    out_dir = next(fuzz_dirs) / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["predict", "--checkpoint", workspace["checkpoint"], "--data", str(manifest), "--out-dir", str(out_dir)])
+    lines = stderr.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+        with open(out_dir / "predictions.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + len(DatasetManifest.load(manifest).entries)
+    else:
+        assert code in (1, 2)
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert len(lines[0].replace(str(corpus.parent), "").encode()) < 300, len(lines[0])
+        assert not out_dir.exists()
 
 
 def test_wellqc_config_environment_variable_is_ignored(workspace, tmp_path, capsys, monkeypatch):

@@ -65,7 +65,7 @@ def stub_fold_io(monkeypatch, small_corpus):
     """A pixel-free stand-in for ``small_corpus``'s decoded corpus, and a fixed report per fold: only ``train`` runs."""
     report = SimpleNamespace(values=MetricValues(0.5, None, None, None))
     monkeypatch.setattr(search, "evaluate_checkpoint", lambda checkpoint, val_set: report)
-    return SimpleNamespace(ids=[e.example_id for e in small_corpus.entries], subset=lambda rows: rows)
+    return SimpleNamespace(ids=[e.path for e in small_corpus.entries], subset=lambda rows: rows)
 
 
 def test_grid_whose_every_cell_fails_writes_its_table_and_exits_1(tmp_path, monkeypatch, capsys):

@@ -2,14 +2,32 @@
 
 import pytest
 
-from wellqc.errors import EmptyClass
+from wellqc.errors import EmptyClass, FormatError
+from wellqc.data.manifest import DatasetManifest
 from wellqc.data.splits import kfold_split, split_train_val
+from wellqc.data.synth import generate_synthetic
 
 from tests.test_manifest import make_manifest
 
 
 def keys(manifest):
-    return {(e.path, e.aug) for e in manifest.entries}
+    return {e.path for e in manifest.entries}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_no_image_sits_on_both_sides_of_a_split(tmp_path, seed):
+    """Listing a crop under more than one entry let a split put it on both sides; now no entry can repeat a path."""
+    generate_synthetic(seed, 20, 20, out_dir=tmp_path)
+    text = (tmp_path / "manifest.tsv").read_text()
+    manifest = DatasetManifest.load(tmp_path / "manifest.tsv")
+    train, val = split_train_val(manifest, 0.2, seed=0)
+    assert keys(train).isdisjoint(keys(val)) and keys(train) | keys(val) == keys(manifest)
+    for train, val in kfold_split(manifest, 5, seed=0):
+        assert keys(train).isdisjoint(keys(val)) and keys(train) | keys(val) == keys(manifest)
+    listed_again = text.splitlines()[1 + seed]
+    (tmp_path / "listed_again.tsv").write_text(text + listed_again + "\n")
+    with pytest.raises(FormatError, match=f"entry '{listed_again.split()[0]}' is listed twice"):
+        DatasetManifest.load(tmp_path / "listed_again.tsv")
 
 
 class TestTrainValSplit:

@@ -41,7 +41,8 @@ class TestCorpusStructure:
     def test_counts_and_labels(self, tmp_path):
         manifest = generate_synthetic(seed=3, n_ok=5, n_ng=7, out_dir=tmp_path)
         assert manifest.class_counts() == {0: 5, 1: 7}
-        assert all(e.origin == "synthetic" and e.aug == "none" for e in manifest.entries)
+        expected = [(f"ok_{i:04d}.pgm", 0) for i in range(5)] + [(f"ng_{i:04d}.pgm", 1) for i in range(7)]
+        assert [(e.path, e.label) for e in manifest.entries] == expected
 
     def test_ng_zero_yields_all_ok(self, tmp_path):
         manifest = generate_synthetic(seed=3, n_ok=4, n_ng=0, out_dir=tmp_path)
