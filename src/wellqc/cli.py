@@ -22,9 +22,12 @@ integer 3 and "--set early_stopping.enabled=false" the boolean; anything else
 stays a string and fails where a number or boolean is expected. Checkpoint and
 manifest defects are format errors and exit 2.
 
-A manifest (--data) is "#wellqc-manifest v2 num_classes=2", then one
+The pipeline is binary: a well is OK (label 0) or defective (label 1). A
+manifest (--data) is the line "#wellqc-manifest v2 num_classes=2", then one
 "path<TAB>label" line per crop, its path relative to the manifest and listed
 once; ``gen`` writes one, and ``tile`` one whose labels "-" are to be filled in.
+A model's Softmax head is 2 wide; a config, --arch file or checkpoint with
+another width is rejected as it is read.
 """
 
 import argparse
@@ -45,9 +48,9 @@ from wellqc.data.pgm import read_pgm, write_pgm
 from wellqc.data.splits import kfold_split, split_train_val
 from wellqc.data.synth import DEFECT_KINDS, generate_synthetic
 from wellqc.data.tiles import TileGrid, tile_scan
-from wellqc.data.wells import CROP_SIZE
+from wellqc.data.wells import CROP_SIZE, NUM_CLASSES
 from wellqc.gradcheck import grad_check
-from wellqc.metrics import check_binary, check_threshold, emit_report, evaluate_checkpoint, method_name, predict, report_text
+from wellqc.metrics import check_threshold, emit_report, evaluate_checkpoint, method_name, predict, report_text
 from wellqc.nn.arch import ArchitectureSpec, LayerSpec
 from wellqc.nn.model import init_model
 from wellqc.parallel import blas_threads
@@ -91,11 +94,10 @@ def _check_input_shape(spec) -> None:
 
 
 def _load_classifier(args) -> Checkpoint:
-    """The --checkpoint model, checked to take the crops and to give a binary verdict at --threshold."""
+    """The --checkpoint model, checked to take the crops, once --threshold is checked."""
     check_threshold(args.threshold)
     checkpoint = Checkpoint.load(args.checkpoint)
     _check_input_shape(checkpoint.spec)
-    check_binary(checkpoint.spec)
     return checkpoint
 
 
@@ -146,7 +148,7 @@ def cmd_tile(args) -> int:
         names.append(f"r{row:03d}c{col:03d}.pgm")
         write_pgm(pixels, out_dir / names[-1], maxval=255)
     skeleton = out_dir / "manifest_skeleton.tsv"
-    write_manifest(skeleton, 2, [(name, "-") for name in names])
+    write_manifest(skeleton, [(name, "-") for name in names])
     print(f"tile: wrote {len(crops)} crops and {skeleton.name} to {out_dir} (fill in labels)")
     return EXIT_OK
 
@@ -193,7 +195,6 @@ def cmd_cv(args) -> int:
     _check_at_least(args, "jobs", 1)
     _check_at_least(args, "k", 2)
     config = _resolve_config(args)
-    check_binary(config.architecture)  # each fold's evaluation thresholds p(defective)
     manifest = DatasetManifest.load(args.data)
     pairs = kfold_split(manifest, args.k, config.seed)
     corpus = load_examples(manifest)
@@ -270,7 +271,7 @@ def cmd_grad_check(args) -> int:
     model = init_model(arch, rng)  # validates the architecture
     out_dir = _prepare_out_dir(args)
     batch = rng.random((args.batch, *arch.input_shape), dtype=np.float32)
-    labels = rng.integers(0, arch.num_classes, args.batch)
+    labels = rng.integers(0, NUM_CLASSES, args.batch)
     report = grad_check(model, batch, labels, tolerance=args.tolerance)
     configio.write_json(out_dir / "grad_check.json", report.to_dict())
     status = "ok," if report.passed else "FAILED"

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 
-from wellqc.errors import FormatError
+from wellqc.errors import FormatError, shorten
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 # Separators (whitespace, and '#' comments that run to the end of their line), then one token.
@@ -17,18 +17,18 @@ _TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*\n?)*([^ \t\n\r\x0b\x0c#]*)")
 
 
 class _Tokenizer:
-    """Whitespace/comment-aware scanner that tracks the byte offset; its errors name ``path``."""
+    """Whitespace/comment-aware scanner that tracks the byte offset; its errors begin with ``name``."""
 
-    def __init__(self, data: bytes, path):
+    def __init__(self, data: bytes, name: str):
         self.data = data
-        self.path = path
+        self.name = name
         self.pos = 0
 
     def token(self, what: str) -> bytes:
         match = _TOKEN.match(self.data, self.pos)
         start, self.pos = match.span(1)
         if self.pos == start:
-            raise FormatError(f"{self.path}: expected {what}", offset=start)
+            raise FormatError(f"{self.name}: expected {what}", offset=start)
         return match[1]
 
     def integer(self, what: str) -> int:
@@ -37,29 +37,31 @@ class _Tokenizer:
         try:
             return int(tok)
         except ValueError:
-            raise FormatError(f"{self.path}: expected integer {what}, got {tok!r}", offset=start) from None
+            raise FormatError(f"{self.name}: expected integer {what}, got {tok!r}", offset=start) from None
 
 
 def read_pgm(path):
     """Read a binary PGM; returns (pixels, maxval).
 
-    ``pixels`` is a float32 (H, W) array in [0, 1]. A FormatError names ``path``.
+    ``pixels`` is a float32 (H, W) array in [0, 1]. A FormatError names
+    ``path``, quoted so that the message stays one short line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    tok = _Tokenizer(data, path)
+    name = shorten(repr(str(path)))
+    tok = _Tokenizer(data, name)
     magic = tok.token("magic number")
     if magic != b"P5":
-        raise FormatError(f"{path}: not a binary PGM (magic {magic!r})", offset=0)
+        raise FormatError(f"{name}: not a binary PGM (magic {magic!r})", offset=0)
     width = tok.integer("width")
     height = tok.integer("height")
     maxval = tok.integer("maxval")
     if width < 1 or height < 1:
-        raise FormatError(f"{path}: invalid dimensions {width}x{height}", offset=tok.pos)
+        raise FormatError(f"{name}: invalid dimensions {width}x{height}", offset=tok.pos)
     if not 0 < maxval < 65536:
-        raise FormatError(f"{path}: maxval {maxval} outside (0, 65536)", offset=tok.pos)
+        raise FormatError(f"{name}: maxval {maxval} outside (0, 65536)", offset=tok.pos)
     if tok.pos >= len(data) or data[tok.pos : tok.pos + 1] not in _WHITESPACE:
-        raise FormatError(f"{path}: missing separator before raster data", offset=tok.pos)
+        raise FormatError(f"{name}: missing separator before raster data", offset=tok.pos)
     tok.pos += 1
 
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
@@ -67,7 +69,7 @@ def read_pgm(path):
     found = min(len(data) - tok.pos, expected)
     if found < expected:
         raise FormatError(
-            f"{path}: truncated raster: expected {expected} bytes, found {found}",
+            f"{name}: truncated raster: expected {expected} bytes, found {found}",
             offset=tok.pos + found,
         )
     raw = np.frombuffer(data, dtype=dtype, count=width * height, offset=tok.pos).reshape(height, width)

@@ -9,17 +9,18 @@ import numpy as np
 
 from wellqc.errors import EmptyClass
 from wellqc.data.manifest import DatasetManifest
+from wellqc.data.wells import NUM_CLASSES
 
 
 def _entries_by_class(manifest: DatasetManifest) -> dict[int, list]:
-    by_class = {c: [] for c in range(manifest.num_classes)}
+    by_class = {c: [] for c in range(NUM_CLASSES)}
     for e in manifest.entries:
         by_class[e.label].append(e)
     return by_class
 
 
 def _make(manifest: DatasetManifest, entries) -> DatasetManifest:
-    return DatasetManifest(entries=list(entries), num_classes=manifest.num_classes, root=manifest.root)
+    return DatasetManifest(entries=list(entries), root=manifest.root)
 
 
 def split_train_val(manifest: DatasetManifest, fraction: float, seed: int):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from wellqc.errors import ConfigError
-from wellqc.data.manifest import DatasetManifest, ManifestEntry
+from wellqc.data.manifest import DatasetManifest, ManifestEntry, write_manifest
 from wellqc.data.pgm import write_pgm
 from wellqc.data.wells import CROP_SIZE, LABEL_NG, LABEL_OK
 
@@ -141,6 +141,5 @@ def generate_synthetic(seed: int, n_ok: int, n_ng: int, defect_mix=None, out_dir
         write_pgm(pixels, out_dir / name, maxval=255)
         entries.append(ManifestEntry(path=name, label=label))
 
-    manifest = DatasetManifest(entries=entries, root=out_dir)
-    manifest.save(out_dir / "manifest.tsv")
-    return manifest
+    write_manifest(out_dir / "manifest.tsv", ((e.path, e.label) for e in entries))
+    return DatasetManifest(entries=entries, root=out_dir)

@@ -92,12 +92,6 @@ def check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
 
 
-def check_binary(spec) -> None:
-    """Reject a model whose Softmax head is not two classes wide: a threshold on p(defective) needs a binary one."""
-    if spec.num_classes != 2:
-        raise LabelError(f"thresholded prediction is binary; model has {spec.num_classes} classes")
-
-
 def predict(checkpoint, images, threshold: float = 0.5):
     """Labels and defect probabilities for a stack of images.
 
@@ -106,7 +100,6 @@ def predict(checkpoint, images, threshold: float = 0.5):
     matches argmax except on exact ties.
     """
     check_threshold(threshold)
-    check_binary(checkpoint.spec)
     probs = predict_probs(checkpoint.to_model(), np.asarray(images))
     p1 = probs[:, 1]
     labels = (p1 >= threshold).astype(np.int64)
@@ -157,7 +150,7 @@ class MetricsReport:
 
 def method_name(spec) -> str:
     """The report's name for a model: "logistic" for the baseline's architecture, "CNN" for any other."""
-    return "logistic" if spec == logistic_architecture(spec.input_shape, spec.num_classes) else "CNN"
+    return "logistic" if spec == logistic_architecture(spec.input_shape) else "CNN"
 
 
 def evaluate_checkpoint(checkpoint, dataset, threshold: float = 0.5, method: str | None = None) -> MetricsReport:
@@ -172,7 +165,7 @@ def evaluate_checkpoint(checkpoint, dataset, threshold: float = 0.5, method: str
     return MetricsReport(
         method=method or method_name(checkpoint.spec),
         threshold=threshold,
-        ids=dataset.ids if dataset.ids else [str(i) for i in range(len(dataset))],
+        ids=dataset.ids,
         true_labels=dataset.labels,
         predicted_labels=labels,
         prob_defective=p1,

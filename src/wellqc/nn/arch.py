@@ -2,8 +2,9 @@
 
 An architecture is data, not code: an ordered list of layer specs plus the
 input shape, loaded from a JSON file by ``wellqc.configio`` so the shipped
-model can be edited without touching the package. The class count is the
-width of the Softmax head, so it is not stored.
+model can be edited without touching the package. Every well is OK or
+defective, so ``validate`` requires a Softmax head ``NUM_CLASSES`` (2) wide;
+the class count is not stored.
 
 ``KINDS`` holds one ``LayerKind`` record per layer kind, after Caffe's per-type
 ``Layer`` (Jia et al. 2014): all the package knows about a kind. Spec checks,
@@ -16,6 +17,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from wellqc.data.wells import NUM_CLASSES
 from wellqc.errors import ConfigError, ShapeError
 from wellqc.nn import ops
 
@@ -197,24 +199,20 @@ class ArchitectureSpec:
         if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
             raise ConfigError(f"input_shape must be 3 positive dims (H, W, C), got {self.input_shape}")
 
-    @property
-    def num_classes(self) -> int:
-        """The width of the Softmax head."""
-        return self.validate()[-1][0]
-
     def validate(self) -> list[tuple[int, ...]]:
         """Run shape inference end-to-end and check the classifier head.
 
-        The last layer, and only it, must be Softmax over a vector of at
-        least 2 classes. Returns the per-layer output shapes.
+        The last layer, and only it, must be Softmax over a vector of
+        ``NUM_CLASSES`` classes. Returns the per-layer output shapes.
         """
         shapes = infer_shapes(self)
         if not self.layers or self.layers[-1].kind != "Softmax":
             raise ShapeError("architecture must end with a Softmax layer")
         if any(layer.kind == "Softmax" for layer in self.layers[:-1]):
             raise ShapeError("only the last layer may be a Softmax layer")
-        if shapes[-1][0] < 2:
-            raise ShapeError(f"the Softmax head has {shapes[-1][0]} class(es); at least 2 are needed")
+        width = shapes[-1][0]
+        if width != NUM_CLASSES:
+            raise ShapeError(f"the Softmax head has {width} class(es), not {NUM_CLASSES}: a well is OK or defective")
         return shapes
 
 
@@ -263,13 +261,13 @@ def default_architecture(dense_units: int = 48) -> ArchitectureSpec:
     )
 
 
-def logistic_architecture(input_shape=(111, 111, 1), num_classes: int = 2) -> ArchitectureSpec:
-    """Multinomial logistic regression on raw pixels: Flatten, Dense, Softmax."""
+def logistic_architecture(input_shape=(111, 111, 1)) -> ArchitectureSpec:
+    """Logistic regression on raw pixels: Flatten, Dense, Softmax."""
     return ArchitectureSpec(
         input_shape=tuple(input_shape),
         layers=(
             LayerSpec("Flatten"),
-            LayerSpec("Dense", units=num_classes),
+            LayerSpec("Dense", units=NUM_CLASSES),
             LayerSpec("Softmax"),
         ),
     )

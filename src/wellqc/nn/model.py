@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wellqc import parallel
+from wellqc.data.wells import NUM_CLASSES
 from wellqc.errors import EmptyEvaluation, ShapeError
 from wellqc.nn import ops
 from wellqc.nn.arch import KINDS, ArchitectureSpec
@@ -220,5 +221,5 @@ def predict_probs(model: Model, images, labels=None):
         if labels is not None:
             log_probs = np.concatenate([lp for _, lp in parts])
             total_ce += ops.sparse_ce_from_log_probs(log_probs, labels[start:stop]) * (stop - start)
-    probs = np.concatenate(chunks, axis=0) if chunks else np.empty((0, model.spec.num_classes), model.dtype)
+    probs = np.concatenate(chunks, axis=0) if chunks else np.empty((0, NUM_CLASSES), model.dtype)
     return probs if labels is None else (probs, total_ce / n)

@@ -16,9 +16,10 @@ they live in its out-dir, as ``resolved_config.json`` and ``history.csv``.
 
 Weights round-trip bit-exactly, so a loaded checkpoint predicts identically
 to the in-memory model it was saved from. Loading checks the magic line byte
-for byte and the header with the strict config codec; any defect is a
-FormatError, and so is a file of another version: a v1 or v2 model must be
-retrained (v2's tensor blocks are these same bytes).
+for byte and the header with the strict config codec and the architecture's
+shape checks, which want a Softmax head 2 wide; any defect is a FormatError,
+and so is a file of another version: a v1 or v2 model must be retrained (v2's
+tensor blocks are these same bytes).
 """
 
 import json

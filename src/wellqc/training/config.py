@@ -53,7 +53,7 @@ class RunConfig:
 
     def as_logistic_baseline(self) -> "RunConfig":
         """The comparison baseline: the logistic architecture at dropout 0, everything else unchanged."""
-        arch = logistic_architecture(self.architecture.input_shape, self.architecture.num_classes)
+        arch = logistic_architecture(self.architecture.input_shape)
         return replace(self, architecture=arch).with_hyperparams(dropout_rate=0.0)
 
 

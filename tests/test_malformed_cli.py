@@ -22,6 +22,7 @@ from wellqc import configio
 from wellqc.cli import main
 from wellqc.data.manifest import DatasetManifest
 from wellqc.data.pgm import write_pgm
+from wellqc.errors import shorten
 from wellqc.nn.arch import ArchitectureSpec, default_architecture, logistic_architecture
 from wellqc.nn.model import init_model, param_shapes
 from wellqc.optim import Hyperparams
@@ -44,7 +45,10 @@ ARCH_STRING_CHANNELS = json.loads(json.dumps(ARCH))
 ARCH_STRING_CHANNELS["layers"][0]["out_channels"] = "4"
 ARCH_DROPOUT_RATE = json.loads(json.dumps(ARCH))
 ARCH_DROPOUT_RATE["layers"][8]["rate"] = 0.2
-THREE_CLASS_ARCH = configio.dump(logistic_architecture(num_classes=3))
+THREE_CLASS_ARCH = {
+    "input_shape": [111, 111, 1],
+    "layers": [{"kind": "Flatten"}, {"kind": "Dense", "units": 3}, {"kind": "Softmax"}],
+}
 
 # id, argv, contents of {tmp}/input.json (None: not written), what the error line names
 CONFIG_CASES = [
@@ -102,7 +106,11 @@ SHAPE_64_NAMES = "architecture.input_shape (64, 64, 1) does not match the crops'
 NO_VALIDATION = (
     "fraction 0.2 leaves class 0 with 2 training and 0 validation examples; each class needs at least one on each side"
 )
-THREE_CLASSES = "thresholded prediction is binary; model has 3 classes"
+THREE_CLASSES = "the Softmax head has 3 class(es), not 2: a well is OK or defective"
+THREE_CLASS_HEADER = (
+    "expected the header line '#wellqc-manifest v2 num_classes=2', got '#wellqc-manifest v2 num_classes=3' "
+    "(byte offset 0)"
+)
 NO_MANIFEST = "{tmp}/missing.tsv"
 NO_CHECKPOINT = "{tmp}/missing.bin"
 
@@ -154,11 +162,23 @@ UNREAD_INPUT_CASES = [
      "entry 'ok_0000.pgm' is listed twice"),
     ("cv-path-listed-twice", ["cv", "--data", "{repeated}", "--k", "2", "--out-dir", "{tmp}/out"], None, 2,
      "entry 'ok_0000.pgm' is listed twice"),
-    ("eval-three-class-head", [*EVAL, "--checkpoint", "{three_class}"], None, 1, THREE_CLASSES),
-    ("predict-three-class-head", [*PREDICT, "--checkpoint", "{three_class}", "--data", "{corpus}"], None, 1,
-     THREE_CLASSES),
+    ("eval-three-class-head", [*EVAL, "--checkpoint", "{three_class}"], None, 2,
+     f"bad header: {THREE_CLASSES}"),
+    ("predict-three-class-head", [*PREDICT, "--checkpoint", "{three_class}", "--data", "{corpus}"], None, 2,
+     f"bad header: {THREE_CLASSES}"),
     ("cv-three-class-head", [*CV, "--k", "2", "--config", "{tmp}/input.json"], {"architecture": THREE_CLASS_ARCH}, 1,
-     THREE_CLASSES),
+     f"ShapeError: {THREE_CLASSES}"),
+    ("train-three-class-head", [*TRAIN, "--config", "{three_class_config}"], None, 1, f"ShapeError: {THREE_CLASSES}"),
+    ("grid-search-three-class-head", [*GRID_SEARCH, "--config", "{three_class_config}"], {"learning_rate": [0.01]}, 1,
+     f"ShapeError: {THREE_CLASSES}"),
+    # a gen corpus whose header names 3 classes and whose last six rows are labelled 2
+    ("train-three-class-manifest", ["train", "--data", "{three_classes}", "--out-dir", "{tmp}/out"], None, 2,
+     THREE_CLASS_HEADER),
+    ("cv-three-class-manifest", ["cv", "--data", "{three_classes}", "--k", "2", "--out-dir", "{tmp}/out"], None, 2,
+     THREE_CLASS_HEADER),
+    ("eval-three-class-manifest", [*EVAL, "--data", "{three_classes}"], None, 2, THREE_CLASS_HEADER),
+    ("train-million-class-header", ["train", "--data", "{million_classes}", "--out-dir", "{tmp}/out"], None, 2,
+     "got '#wellqc-manifest v2 num_classes=1000000' (byte offset 0)"),
     ("eval-checkpoint-input-shape-64", [*EVAL, "--checkpoint", "{input_64}"], None, 1, SHAPE_64_NAMES),
     ("predict-checkpoint-input-shape-64", [*PREDICT, "--checkpoint", "{input_64}", "--data", "{corpus}"], None, 1,
      SHAPE_64_NAMES),
@@ -215,11 +235,12 @@ COUNT_CASES = [
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Corpora (small, tiny, uneven, one with a crop missing, empty, one listing a crop twice), a one-well frame and
-    three checkpoints.
+    """Corpora (small, tiny, uneven, one with a crop missing, empty, one listing a crop twice, two whose headers name
+    3 and 1,000,000 classes), a one-well frame, a config with a 3-class head and three checkpoints.
 
-    The checkpoints are a trained logistic model, a trained one with a 3-class
-    head, and an untrained logistic model of 64x64 crops.
+    The checkpoints are a trained logistic model, the bytes of a 3-class
+    model, which ``Checkpoint.save`` refuses to write, and an untrained
+    logistic model of 64x64 crops.
     """
     root = tmp_path_factory.mktemp("workspace")
     assert main(["gen", "--seed", "1", "--ok", "4", "--ng", "4", "--out-dir", str(root / "corpus")]) == 0
@@ -230,10 +251,17 @@ def workspace(tmp_path_factory):
     (root / "empty.tsv").write_text("#wellqc-manifest v2 num_classes=2\n")
     records = (root / "corpus" / "manifest.tsv").read_text().splitlines(keepends=True)
     (root / "corpus" / "repeated.tsv").write_text("".join([*records, records[1]]))
+    (root / "corpus" / "million.tsv").write_text("".join([records[0].replace("=2", "=1000000"), *records[1:]]))
+    assert main(["gen", "--seed", "4", "--ok", "6", "--ng", "12", "--out-dir", str(root / "three")]) == 0
+    header, *rows = (root / "three" / "manifest.tsv").read_text().splitlines(keepends=True)
+    rows[-6:] = [row.replace("\t1", "\t2") for row in rows[-6:]]
+    (root / "three" / "manifest.tsv").write_text("".join([header.replace("=2", "=3"), *rows]))
     train = ["train", "--data", str(root / "corpus" / "manifest.tsv"), "--set", "hyperparams.epochs=1"]
     assert main([*train, "--model", "logistic", "--out-dir", str(root / "model")]) == 0
     (root / "three_class.json").write_text(json.dumps({"architecture": THREE_CLASS_ARCH}))
-    assert main([*train, "--config", str(root / "three_class.json"), "--out-dir", str(root / "three_class")]) == 0
+    header = json.dumps(THREE_CLASS_ARCH, sort_keys=True, separators=(",", ":")).encode()
+    weights = np.zeros(111 * 111 * 3 + 3, dtype="<f4").tobytes()  # dense1.W, then dense1.b
+    (root / "three_class.bin").write_bytes(magic_line(len(header)) + header + weights)
     spec_64 = logistic_architecture((64, 64, 1))
     Checkpoint(spec_64, init_model(spec_64, np.random.default_rng(0)).params).save(root / "input_64.bin")
     write_pgm(np.zeros((111, 111)), root / "frame.pgm")
@@ -246,7 +274,10 @@ def workspace(tmp_path_factory):
         "repeated": str(root / "corpus" / "repeated.tsv"),
         "frame": str(root / "frame.pgm"),
         "checkpoint": str(root / "model" / "checkpoint.bin"),
-        "three_class": str(root / "three_class" / "checkpoint.bin"),
+        "three_classes": str(root / "three" / "manifest.tsv"),
+        "million_classes": str(root / "corpus" / "million.tsv"),
+        "three_class_config": str(root / "three_class.json"),
+        "three_class": str(root / "three_class.bin"),
         "input_64": str(root / "input_64.bin"),
     }
 
@@ -443,7 +474,8 @@ def test_crop_of_another_size_exits_2_naming_its_file(workspace, tmp_path, capsy
     (tmp_path / "manifest.tsv").write_text("#wellqc-manifest v2 num_classes=2\nwell.pgm\t0\nsmall.pgm\t1\n")
     code, lines = run_cli(argv, capsys, tmp=tmp_path, **workspace)
     assert code == 2
-    assert lines == [f"error: FormatError: {tmp_path / 'small.pgm'}: crop is 50x50 pixels, expected 111x111"]
+    small = shorten(repr(str(tmp_path / "small.pgm")))
+    assert lines == [f"error: FormatError: {small}: crop is 50x50 pixels, expected 111x111"]
 
 
 # id, argv; {tmp}/cut.pgm is a 111x111 PGM cut to 3 raster bytes, which {tmp}/manifest.tsv lists
@@ -468,8 +500,8 @@ def test_truncated_pgm_exits_2_naming_its_file(workspace, tmp_path, capsys, argv
     code, lines = run_cli(argv, capsys, tmp=tmp_path, **workspace)
     assert code == 2
     assert lines == [
-        f"error: FormatError: {tmp_path / 'cut.pgm'}: truncated raster: expected 12321 bytes, found 3 "
-        f"(byte offset {header + 3})"
+        f"error: FormatError: {shorten(repr(str(tmp_path / 'cut.pgm')))}: truncated raster: expected 12321 bytes, "
+        f"found 3 (byte offset {header + 3})"
     ]
 
 
@@ -528,7 +560,8 @@ V2 = "#wellqc-manifest v2 num_classes=2\n"
 TRAIN_ON_INPUT = ["train", "--data", "{tmp}/input", "--out-dir", "{tmp}/out"]
 EVAL_INPUT = [*EVAL, "--checkpoint", "{tmp}/input"]
 
-# id, argv, contents of {tmp}/input (None: not written), exit code, what the error line names
+# id, argv, contents of {tmp}/input (None: not written), exit code, what the error line names; {tmp}/a\x0bb.pgm is a
+# 50x50 crop
 QUOTED_VALUE_CASES = [
     ("set-long-learning-rate", [*TRAIN, "--set", "hyperparams.learning_rate=" + "a" * LONG], None, 1,
      'ConfigError: hyperparams.learning_rate: expected a number, got "aaaaa'),
@@ -538,15 +571,17 @@ QUOTED_VALUE_CASES = [
     ("manifest-long-label", TRAIN_ON_INPUT, V2 + "a.pgm\t" + "x" * LONG + "\n", 2, "entry 'a.pgm' has label 'xxxxx"),
     ("manifest-long-path", TRAIN_ON_INPUT, V2 + "x" * LONG + "\t-\n", 2, "entry 'xxxxx"),
     ("manifest-long-header", TRAIN_ON_INPUT, "#wellqc-manifest v2 num_classes=" + "x" * LONG + "\n", 2,
-     "malformed header '#wellqc-manifest v2 num_class...xxxxx"),
+     "got '#wellqc-manifest v2 num_class...xxxxx"),
     ("manifest-long-version", TRAIN_ON_INPUT, "#wellqc-manifest v" + "9" * 4_000 + " num_classes=2\n", 2,
-     "unsupported manifest version 'v999"),
+     "got '#wellqc-manifest v99999999999...9999"),
     ("manifest-vertical-tab-in-path", TRAIN_ON_INPUT, V2 + "a\x0bb.pgm\t-\n", 2,
      r"entry 'a\x0bb.pgm' has no label; fill in the manifest skeleton first"),
     ("manifest-file-separator-in-path", TRAIN_ON_INPUT, V2 + "a\x1cb.pgm\tx\n", 2,
      r"entry 'a\x1cb.pgm' has label 'x', not an integer"),
     ("manifest-line-separator-in-path", TRAIN_ON_INPUT, V2 + "a\u2028b.pgm\t7\n", 1,
      r"LabelError: {tmp}/input: entry 'a\u2028b.pgm' has label '7', outside [0, 2)"),
+    ("crop-vertical-tab-in-path", [*PREDICT, "--data", "{tmp}/input"], V2 + "a\x0bb.pgm\t0\n", 2,
+     r"/a\x0bb.pgm': crop is 50x50 pixels, expected 111x111"),
     ("checkpoint-long-magic-line", EVAL_INPUT, b"x" * LONG + b"\n", 2, "bad magic line b'xxxxx"),
     ("checkpoint-long-version", EVAL_INPUT, b"WELLQC-CKPT v" + b"3" * LONG + b" 10\n", 2,
      "unsupported checkpoint version 'v33333"),
@@ -559,6 +594,7 @@ QUOTED_VALUE_CASES = [
     "argv, content, code, names", [case[1:] for case in QUOTED_VALUE_CASES], ids=[case[0] for case in QUOTED_VALUE_CASES]
 )
 def test_value_from_an_input_is_quoted_on_one_short_line(workspace, tmp_path, capsys, argv, content, code, names):
+    write_pgm(np.zeros((50, 50)), tmp_path / "a\x0bb.pgm")
     if content is not None:
         (tmp_path / "input").write_bytes(content if isinstance(content, bytes) else content.encode())
     exit_code, lines = run_cli(argv, capsys, tmp=tmp_path, **workspace)

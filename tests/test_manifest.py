@@ -1,5 +1,6 @@
 """Manifest format and dataset loading."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from wellqc.data.manifest import (
     ManifestEntry,
     load_examples,
     read_crops,
+    write_manifest,
 )
 from wellqc.data.pgm import write_pgm
 from wellqc.data.wells import CROP_SIZE
@@ -35,24 +37,33 @@ def load_text(tmp_path, text):
 
 
 class TestManifestFile:
-    def test_save_load_round_trip(self, tmp_path):
+    def test_write_load_round_trip(self, tmp_path):
         manifest = make_manifest(3)
         path = tmp_path / "manifest.tsv"
-        manifest.save(path)
+        write_manifest(path, [(e.path, e.label) for e in manifest.entries])
         loaded = DatasetManifest.load(path)
         assert loaded.entries == manifest.entries
-        assert loaded.num_classes == 2
         assert loaded.root == tmp_path
 
-    def test_header_line_is_versioned(self, tmp_path):
-        manifest = make_manifest(1)
+    def test_header_line_is_fixed(self, tmp_path):
         path = tmp_path / "manifest.tsv"
-        manifest.save(path)
+        write_manifest(path, [("c0_000.pgm", 0), ("c1_000.pgm", 1)])
         assert path.read_text() == HEADER + "c0_000.pgm\t0\nc1_000.pgm\t1\n"
 
-    def test_missing_header_rejected(self, tmp_path):
-        with pytest.raises(FormatError, match="header"):
-            load_text(tmp_path, "a.pgm\t0\n")
+    @pytest.mark.parametrize(
+        "first",
+        ["a.pgm\t0", "#wellqc-manifest v2 num_classes=3", "#wellqc-manifest v2 num_classes=1000000",
+         "#wellqc-manifest v3 num_classes=2", "#wellqc-manifest v2 num_classes=2 ", "#wellqc-manifest v2"],
+    )
+    def test_first_line_other_than_the_header_rejected(self, tmp_path, first):
+        expected = f"expected the header line '#wellqc-manifest v2 num_classes=2', got {first!r}"
+        with pytest.raises(FormatError, match=re.escape(expected)) as info:
+            load_text(tmp_path, first + "\na.pgm\t0\n")
+        assert info.value.offset == 0
+
+    def test_empty_file_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="got ''"):
+            load_text(tmp_path, "")
 
     def test_label_out_of_range_rejected(self, tmp_path):
         with pytest.raises(LabelError, match=r"entry 'a.pgm' has label '2', outside \[0, 2\)"):
@@ -130,5 +141,5 @@ class TestLoadExamples:
         (tmp_path / "a_cut.pgm").write_bytes(b"P5\n111 111\n255\n\0\0\0")
         entries = [ManifestEntry(path="ok.pgm", label=0), ManifestEntry(path="z_small.pgm", label=0),
                    ManifestEntry(path="a_cut.pgm", label=1)]
-        with pytest.raises(FormatError, match="z_small.pgm: crop is 50x50"):
+        with pytest.raises(FormatError, match="z_small.pgm': crop is 50x50"):
             load_examples(DatasetManifest(entries=entries, root=tmp_path))

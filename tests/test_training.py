@@ -209,7 +209,7 @@ class TestTrainLoop:
     def test_empty_sets_rejected(self, small_split):
         train_set, val_set = small_split
         with pytest.raises(ValueError):
-            train(small_config(), Dataset(images=train_set.images[:0], labels=train_set.labels[:0]), val_set)
+            train(small_config(), Dataset(images=train_set.images[:0], labels=train_set.labels[:0], ids=[]), val_set)
 
 
 class TestHistoryCsv:
