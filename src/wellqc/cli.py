@@ -53,7 +53,7 @@ from wellqc.gradcheck import grad_check
 from wellqc.metrics import check_threshold, emit_report, evaluate_checkpoint, method_name, predict, report_text
 from wellqc.nn.arch import ArchitectureSpec, LayerSpec
 from wellqc.nn.model import init_model
-from wellqc.parallel import blas_threads
+from wellqc.parallel import blas_threads, pad_heap_top
 from wellqc.training.checkpoint import Checkpoint
 from wellqc.training.config import resolve_run_config
 from wellqc.training.loop import history_csv, train
@@ -357,12 +357,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    ``pad_heap_top()`` sets glibc's ``M_TOP_PAD`` before the command body
+    runs. The setting holds for the rest of the process and is never
+    restored (``wellqc.parallel`` says why and how its value was measured);
+    it changes no arithmetic. The body runs inside ``blas_threads()``.
+    """
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    pad_heap_top()
     try:
         with blas_threads():
             return args.func(args)

@@ -2,7 +2,9 @@
 
 Pixels are normalized to [0, 1] on ingest (value / maxval) and re-quantized
 on write, so a read/write cycle at the same maxval is lossless. Samples are
-one byte for maxval <= 255 and big-endian two bytes above that.
+one byte for maxval <= 255 and big-endian two bytes above that. A side is at
+most ``MAX_SIDE`` pixels, as in PNG, so a header's numbers stay short in an
+error message.
 """
 
 import re
@@ -11,6 +13,7 @@ import numpy as np
 
 from wellqc.errors import FormatError, shorten
 
+MAX_SIDE = 2**31 - 1
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 # Separators (whitespace, and '#' comments that run to the end of their line), then one token.
 _TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*\n?)*([^ \t\n\r\x0b\x0c#]*)")
@@ -31,13 +34,17 @@ class _Tokenizer:
             raise FormatError(f"{self.name}: expected {what}", offset=start)
         return match[1]
 
-    def integer(self, what: str) -> int:
+    def integer(self, what: str, high: int) -> int:
+        """The next token as an integer in [1, ``high``]; a token in an error is quoted through ``shorten``."""
         start = self.pos
         tok = self.token(what)
         try:
-            return int(tok)
+            value = int(tok)
         except ValueError:
-            raise FormatError(f"{self.name}: expected integer {what}, got {tok!r}", offset=start) from None
+            raise FormatError(f"{self.name}: expected integer {what}, got {shorten(repr(tok))}", offset=start) from None
+        if not 1 <= value <= high:
+            raise FormatError(f"{self.name}: {what} {shorten(repr(tok))} outside [1, {high}]", offset=start)
+        return value
 
 
 def read_pgm(path):
@@ -52,14 +59,10 @@ def read_pgm(path):
     tok = _Tokenizer(data, name)
     magic = tok.token("magic number")
     if magic != b"P5":
-        raise FormatError(f"{name}: not a binary PGM (magic {magic!r})", offset=0)
-    width = tok.integer("width")
-    height = tok.integer("height")
-    maxval = tok.integer("maxval")
-    if width < 1 or height < 1:
-        raise FormatError(f"{name}: invalid dimensions {width}x{height}", offset=tok.pos)
-    if not 0 < maxval < 65536:
-        raise FormatError(f"{name}: maxval {maxval} outside (0, 65536)", offset=tok.pos)
+        raise FormatError(f"{name}: not a binary PGM (magic {shorten(repr(magic))})", offset=0)
+    width = tok.integer("width", MAX_SIDE)
+    height = tok.integer("height", MAX_SIDE)
+    maxval = tok.integer("maxval", 65535)
     if tok.pos >= len(data) or data[tok.pos : tok.pos + 1] not in _WHITESPACE:
         raise FormatError(f"{name}: missing separator before raster data", offset=tok.pos)
     tok.pos += 1

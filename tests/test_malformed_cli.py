@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from wellqc import configio
 from wellqc.cli import main
 from wellqc.data.manifest import DatasetManifest
-from wellqc.data.pgm import write_pgm
+from wellqc.data.pgm import read_pgm, write_pgm
 from wellqc.errors import shorten
 from wellqc.nn.arch import ArchitectureSpec, default_architecture, logistic_architecture
 from wellqc.nn.model import init_model, param_shapes
@@ -559,6 +559,7 @@ LONG = 100_000
 V2 = "#wellqc-manifest v2 num_classes=2\n"
 TRAIN_ON_INPUT = ["train", "--data", "{tmp}/input", "--out-dir", "{tmp}/out"]
 EVAL_INPUT = [*EVAL, "--checkpoint", "{tmp}/input"]
+TILE_INPUT = ["tile", "--frame", "{tmp}/input", "--grid", "{tmp}/input.json", "--out-dir", "{tmp}/out"]
 
 # id, argv, contents of {tmp}/input (None: not written), exit code, what the error line names; {tmp}/a\x0bb.pgm is a
 # 50x50 crop
@@ -582,6 +583,9 @@ QUOTED_VALUE_CASES = [
      r"LabelError: {tmp}/input: entry 'a\u2028b.pgm' has label '7', outside [0, 2)"),
     ("crop-vertical-tab-in-path", [*PREDICT, "--data", "{tmp}/input"], V2 + "a\x0bb.pgm\t0\n", 2,
      r"/a\x0bb.pgm': crop is 50x50 pixels, expected 111x111"),
+    ("pgm-long-width", TILE_INPUT, b"P5\n" + b"9" * 5_000 + b" 111\n255\n", 2, "width, got b'99999"),
+    ("pgm-long-magic", TILE_INPUT, b"x" * LONG, 2, "not a binary PGM (magic b'xxxxx"),
+    ("pgm-huge-sides", TILE_INPUT, b"P5\n" + b"9" * 3_000 + b" " + b"9" * 3_000 + b"\n255\n", 2, "width b'99999"),
     ("checkpoint-long-magic-line", EVAL_INPUT, b"x" * LONG + b"\n", 2, "bad magic line b'xxxxx"),
     ("checkpoint-long-version", EVAL_INPUT, b"WELLQC-CKPT v" + b"3" * LONG + b" 10\n", 2,
      "unsupported checkpoint version 'v33333"),
@@ -670,6 +674,61 @@ def test_defective_v2_manifest_predicts_or_exits_with_one_short_line(workspace, 
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert len(lines[0].replace(str(corpus.parent), "").encode()) < 300, len(lines[0])
         assert not out_dir.exists()
+
+
+PGM_BYTES = st.sampled_from(b" \t\n#0123456789P5")  # separators, a comment mark, digits and the magic's letters
+LONG_TOKEN_BYTES = st.sampled_from([b"0", b"9", b"x", b"-", b"#"])
+
+
+def defective_frames(data: bytes):
+    """A real P5 frame cut short, with 1-4 header bytes overwritten, or with one header token replaced by a run of
+    hundreds of one character."""
+    header_end = data.index(b"255\n") + 4
+    tokens = data[:header_end].split()
+
+    def overwrite(edits):
+        return bytes(edits.get(i, byte) for i, byte in enumerate(data))
+
+    def long_token(edit):
+        index, char, length = edit
+        return b" ".join([*tokens[:index], char * length, *tokens[index + 1 :]]) + b"\n" + data[header_end:]
+
+    return st.one_of(
+        st.integers(0, len(data) - 1).map(lambda n: data[:n]),
+        st.dictionaries(st.integers(0, header_end - 1), PGM_BYTES | st.integers(0, 255), min_size=1, max_size=4)
+        .map(overwrite)
+        .filter(lambda edited: edited != data),
+        st.tuples(st.integers(0, len(tokens) - 1), LONG_TOKEN_BYTES, st.integers(100, 2_000)).map(long_token),
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_defective_frame_tiles_or_exits_with_one_short_line(workspace, fuzz_dirs, data):
+    """A frame that still decodes but is smaller than the one-well grid exits 1 (``GridOutOfBounds``, a contract
+    violation); every other damaged frame tiles or exits 2."""
+    defective = data.draw(defective_frames(Path(workspace["frame"]).read_bytes()), label="frame")
+    example = next(fuzz_dirs)
+    example.mkdir()
+    (example / "frame.pgm").write_bytes(defective)
+    (example / "grid.json").write_text(json.dumps(TILE_GRID))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["tile", "--frame", str(example / "frame.pgm"), "--grid", str(example / "grid.json"), "--out-dir",
+                     str(example / "out")])
+    lines = stderr.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+        assert (example / "out" / "manifest_skeleton.tsv").is_file()
+        return
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert len(lines[0].replace(str(example), "").encode()) < 300, len(lines[0])
+    assert not (example / "out").exists()
+    if code == 1:
+        assert lines[0].startswith("error: GridOutOfBounds: "), lines
+        assert min(read_pgm(example / "frame.pgm")[0].shape) < 111
+    else:
+        assert code == 2 and lines[0].startswith("error: FormatError: "), lines
 
 
 def test_wellqc_config_environment_variable_is_ignored(workspace, tmp_path, capsys, monkeypatch):

@@ -1,13 +1,15 @@
-"""The split helper: ``split_thread`` opens one helper thread, ``both`` runs a part on it."""
+"""The split helper: ``split_thread`` opens one helper thread, ``both`` runs a part on it; and the heap-top pad that
+``cli.main`` sets before each command."""
 
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from wellqc import parallel
+from wellqc import cli, parallel
 from wellqc.errors import NonFiniteGradient
 from wellqc.nn import model as nn_model
 from wellqc.nn import ops
@@ -189,3 +191,30 @@ class TestTrainOpensOneHelper:
         loop.train(tiny_config(), train_set, val_set)
         assert len(seen) >= 2 and sum(size for *_, size in seen) == len(val_set)
         assert {(thread, open_) for thread, open_, _ in seen} == {(threading.main_thread(), True)}
+
+
+class TestPadHeapTop:
+    """``cli.main`` sets glibc's ``M_TOP_PAD`` through the cached ``mallopt`` lookup before the command body runs."""
+
+    GEN = ["gen", "--seed", "1", "--ok", "1", "--ng", "1", "--out-dir"]
+
+    def test_main_sets_the_pad_once_before_the_command_runs(self, monkeypatch, tmp_path):
+        calls = []
+
+        def fake_mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        def fake_generate(*args, **kwargs):
+            calls.append("gen")
+            return SimpleNamespace(entries=[], class_counts=dict)
+
+        monkeypatch.setattr(parallel, "_mallopt", lambda: fake_mallopt)
+        monkeypatch.setattr(cli, "generate_synthetic", fake_generate)
+        assert cli.main([*self.GEN, str(tmp_path / "out")]) == 0
+        assert calls == [(parallel.M_TOP_PAD, parallel.TOP_PAD), "gen"]
+
+    def test_without_mallopt_a_command_runs_as_is(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(parallel, "_mallopt", lambda: None)
+        assert cli.main([*self.GEN, str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "manifest.tsv").is_file()

@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wellqc.errors import FormatError
-from wellqc.data.pgm import _Tokenizer, read_pgm, write_pgm
+from wellqc.errors import FormatError, shorten
+from wellqc.data.pgm import MAX_SIDE, _Tokenizer, read_pgm, write_pgm
 
 
 def quantized_image(rng, shape, maxval):
@@ -142,13 +142,16 @@ class ByteLoopTokenizer:
             raise FormatError(f"{self.path}: expected {what}", offset=start)
         return self.data[start : self.pos]
 
-    def integer(self, what: str) -> int:
+    def integer(self, what: str, high: int) -> int:
         start = self.pos
         tok = self.token(what)
         try:
-            return int(tok)
+            value = int(tok)
         except ValueError:
-            raise FormatError(f"{self.path}: expected integer {what}, got {tok!r}", offset=start) from None
+            raise FormatError(f"{self.path}: expected integer {what}, got {shorten(repr(tok))}", offset=start) from None
+        if not 1 <= value <= high:
+            raise FormatError(f"{self.path}: {what} {shorten(repr(tok))} outside [1, {high}]", offset=start)
+        return value
 
 
 def scan_header(tokenizer_cls, data: bytes):
@@ -156,7 +159,8 @@ def scan_header(tokenizer_cls, data: bytes):
     tok = tokenizer_cls(data, "h.pgm")
     try:
         magic = tok.token("magic number")
-        return magic, tok.integer("width"), tok.integer("height"), tok.integer("maxval"), tok.pos
+        width, height = tok.integer("width", MAX_SIDE), tok.integer("height", MAX_SIDE)
+        return magic, width, height, tok.integer("maxval", 65535), tok.pos
     except FormatError as exc:
         return str(exc), exc.offset
 
@@ -181,6 +185,10 @@ class TestTokenizerMatchesByteLoop:
             (b"P5 1 1 # comment at EOF", ("h.pgm: expected maxval (byte offset 23)", 23)),
             (b"P5\r\n4 5\r\n65535\r\n", (b"P5", 4, 5, 65535, 14)),
             (b"P5\nfour 4\n255\n", ("h.pgm: expected integer width, got b'four' (byte offset 2)", 2)),
+            (b"P5 0 4 255 ", ("h.pgm: width b'0' outside [1, 2147483647] (byte offset 2)", 2)),
+            (b"P5 1 1 65536 ", ("h.pgm: maxval b'65536' outside [1, 65535] (byte offset 6)", 6)),
+            (b"P5 " + b"9" * 500 + b" 1 255 ",
+             (f"h.pgm: width b'{'9' * 28}...{'9' * 29}' outside [1, 2147483647] (byte offset 2)", 2)),
         ],
     )
     def test_explicit_headers(self, data, expected):
