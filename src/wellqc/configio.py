@@ -7,6 +7,9 @@
   raises ConfigError naming the dotted path of the key;
 - a bool is not an int, and NaN and +-Infinity are not numbers; an int is
   accepted for a float and kept as written, so a config dumps back as read;
+- an int outside the signed 64-bit range is refused, also where a float
+  is expected, so that every count fits a numpy integer and a number in an
+  error message stays short;
 - ``X | None`` also takes null, ``tuple[...]`` takes an array and a nested
   dataclass takes an object.
 
@@ -26,6 +29,7 @@ from wellqc.errors import ConfigError, shorten
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 _CONTAINERS = {list: "an array", tuple: "an array", dict: "an object"}
 _type_hints = functools.cache(typing.get_type_hints)
+_INT64 = range(-(2**63), 2**63)
 
 
 def load(cls, data, where: str = ""):
@@ -35,7 +39,7 @@ def load(cls, data, where: str = ""):
     fields = dataclasses.fields(cls)
     unknown = sorted(set(data) - {f.name for f in fields})
     if unknown:
-        raise ConfigError(f"{where or cls.__name__}: unknown key(s) {', '.join(map(repr, unknown))}")
+        raise ConfigError(f"{where or cls.__name__}: unknown key(s) {shorten(', '.join(map(repr, unknown)))}")
     hints = _type_hints(cls)
     kwargs = {}
     for f in fields:
@@ -107,6 +111,8 @@ def _decode(tp, value, path: str):
     accepted = (int, float) if tp is float else tp
     if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
         raise _wrong_type(path, _EXPECTED.get(tp, tp.__name__), value)
+    if isinstance(value, int) and value not in _INT64:
+        raise _wrong_type(path, "an integer of at most 64 bits", value)
     if tp is float and not math.isfinite(value):
         raise _wrong_type(path, "a finite number", value)
     return value

@@ -5,6 +5,10 @@ on write, so a read/write cycle at the same maxval is lossless. Samples are
 one byte for maxval <= 255 and big-endian two bytes above that. A side is at
 most ``MAX_SIDE`` pixels, as in PNG, so a header's numbers stay short in an
 error message.
+
+wellqc reads one image per file. P5 allows several images in one file, but
+here any byte after the raster is a FormatError (exit 2): a width or height
+damaged to a smaller value would otherwise decode as a sheared image.
 """
 
 import re
@@ -69,11 +73,17 @@ def read_pgm(path):
 
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
     expected = width * height * dtype.itemsize
-    found = min(len(data) - tok.pos, expected)
+    found = len(data) - tok.pos
     if found < expected:
         raise FormatError(
             f"{name}: truncated raster: expected {expected} bytes, found {found}",
             offset=tok.pos + found,
+        )
+    if found > expected:
+        raise FormatError(
+            f"{name}: {found - expected} byte(s) after the {width}x{height} raster; "
+            "wellqc reads one image per file",
+            offset=tok.pos + expected,
         )
     raw = np.frombuffer(data, dtype=dtype, count=width * height, offset=tok.pos).reshape(height, width)
     return np.divide(raw, np.float32(maxval), dtype=np.float32), maxval

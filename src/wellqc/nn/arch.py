@@ -18,7 +18,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from wellqc.data.wells import NUM_CLASSES
-from wellqc.errors import ConfigError, ShapeError
+from wellqc.errors import ConfigError, ShapeError, shorten
 from wellqc.nn import ops
 
 
@@ -162,7 +162,7 @@ class LayerSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown layer kind {self.kind!r}; expected one of {LAYER_KINDS}")
+            raise ConfigError(f"unknown layer kind {shorten(repr(self.kind))}; expected one of {LAYER_KINDS}")
         kind = KINDS[self.kind]
         for name in kind.required:
             if getattr(self, name) is None:

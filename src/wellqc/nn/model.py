@@ -10,6 +10,12 @@ explicit cache instead of storing activations on the model, so a frozen model
 can evaluate disjoint batches concurrently. Parameters are only ever mutated
 by the optimizer.
 
+A cache serves one backward pass. ``model_backward`` consumes it: it drops
+each layer's entry as soon as that layer's backward has run, so an activation
+is freed once nothing can read it (the liveness rule of Chen et al. 2016,
+"Training Deep Nets with Sublinear Memory Cost"), and the next layer's
+temporaries can reuse its memory. Only the Softmax head's entry is left.
+
 Layers run in their written order with one exception: a ReLU directly
 followed by a MaxPool2D runs after the pool, on the pooled output. Max is
 monotone, so relu(pool(x)) equals pool(relu(x)) bit for bit, while ReLU sees
@@ -163,6 +169,10 @@ def model_backward(model: Model, cache, labels) -> dict[str, np.ndarray]:
 
     The softmax layer and the loss differentiate jointly: the walk starts from
     (p - onehot)/N at the logits and visits the remaining layers in reverse.
+
+    The walk consumes ``cache``: each layer's entry becomes None as soon as
+    that layer's backward has run, and only the Softmax head's entry is
+    left. A cache serves one backward; run model_forward again for another.
     """
     if model.spec.layers[-1].kind != "Softmax":
         raise ShapeError("model must end with a Softmax layer")
@@ -175,6 +185,7 @@ def model_backward(model: Model, cache, labels) -> dict[str, np.ndarray]:
         kind = KINDS[layer.kind]
         params = (model.params[f"{name}.W"], model.params[f"{name}.b"]) if kind.param_shapes else None
         g, layer_grads = kind.backward(layer, params, g, cache[idx], model)
+        cache[idx] = None
         if layer_grads is not None:
             grads[f"{name}.W"], grads[f"{name}.b"] = layer_grads
     return grads

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from wellqc import configio
-from wellqc.errors import ConfigError
+from wellqc.errors import ConfigError, shorten
 from wellqc.nn.arch import ArchitectureSpec, default_architecture, logistic_architecture
 from wellqc.optim import Hyperparams
 
@@ -28,7 +28,9 @@ class EarlyStoppingConfig:
 
     def __post_init__(self):
         if self.metric not in ("val_loss", "val_accuracy"):
-            raise ConfigError(f"early stopping metric must be val_loss or val_accuracy, got {self.metric!r}")
+            raise ConfigError(
+                f"early stopping metric must be val_loss or val_accuracy, got {shorten(repr(self.metric))}"
+            )
         if self.patience < 1:
             raise ConfigError(f"early stopping patience must be >= 1, got {self.patience}")
 

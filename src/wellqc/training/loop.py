@@ -10,6 +10,12 @@ conv backward computes its weight gradient there, and the pools run half of
 their images there (``wellqc.nn.ops``), with the same bits as on one thread.
 Validation runs on the calling thread while the helper is open.
 
+A step's arrays live for that step only. ``model_backward`` frees each
+activation once its layer's backward has run (``wellqc.nn.model``), and the
+loop drops the step's batch, probabilities, cache and gradients after its
+bookkeeping, so the next step's forward and backward reuse their memory
+instead of growing the heap.
+
 Epoch wall time is measured for the run log only: it is not part of an
 EpochRecord, so identically-configured runs serialize to identical bytes.
 """
@@ -137,6 +143,7 @@ def train(config: RunConfig, train_set, val_set) -> TrainingRun:
                     ce_sum += ce * size
                     obj_sum += (ce + penalty) * size
                     correct += int((probs.argmax(axis=1) == labels).sum())
+                    del images, probs, cache, grads
 
             val_loss, val_accuracy = evaluate_model(model, val_set.images, val_set.labels)
             record = EpochRecord(

@@ -8,6 +8,8 @@ size, a truncated PGM). No input may end in a traceback.
 
 import contextlib
 import csv
+import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -16,19 +18,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from wellqc import configio
 from wellqc.cli import main
 from wellqc.data.manifest import DatasetManifest
 from wellqc.data.pgm import read_pgm, write_pgm
-from wellqc.errors import shorten
-from wellqc.nn.arch import ArchitectureSpec, default_architecture, logistic_architecture
+from wellqc.data.tiles import TileGrid
+from wellqc.errors import WellQcError, shorten
+from wellqc.nn.arch import ArchitectureSpec, LayerSpec, default_architecture, logistic_architecture
 from wellqc.nn.model import init_model, param_shapes
 from wellqc.optim import Hyperparams
 from wellqc.training.checkpoint import Checkpoint
+from wellqc.training.config import EarlyStoppingConfig, RunConfig, default_run_config
+from wellqc.training.search import GridSpec
 
 from tests.test_checkpoint import magic_line, rewrite_header
+from tests.test_cli import TOY_ARCH
 
 TRAIN = ["train", "--data", "{corpus}", "--out-dir", "{tmp}/out"]
 GRID_SEARCH = ["grid-search", "--data", "{corpus}", "--grid", "{tmp}/input.json", "--out-dir", "{tmp}/out"]
@@ -396,14 +402,19 @@ def value_paths(value, prefix=()):
         yield from value_paths(child, (*prefix, key))
 
 
+def edited(value, path, edit):
+    """A copy of the JSON value ``value`` whose container at ``path`` has been passed to ``edit``."""
+    out = json.loads(json.dumps(value))
+    target = out
+    for key in path:
+        target = target[key]
+    edit(target)
+    return out
+
+
 def replaced(header, path, value):
     """A copy of ``header`` with the value at ``path`` replaced by ``value``."""
-    out = json.loads(json.dumps(header))
-    target = out
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    return out
+    return edited(header, path[:-1], lambda target: target.__setitem__(path[-1], value))
 
 
 def defective_checkpoints(data: bytes):
@@ -586,6 +597,18 @@ QUOTED_VALUE_CASES = [
     ("pgm-long-width", TILE_INPUT, b"P5\n" + b"9" * 5_000 + b" 111\n255\n", 2, "width, got b'99999"),
     ("pgm-long-magic", TILE_INPUT, b"x" * LONG, 2, "not a binary PGM (magic b'xxxxx"),
     ("pgm-huge-sides", TILE_INPUT, b"P5\n" + b"9" * 3_000 + b" " + b"9" * 3_000 + b"\n255\n", 2, "width b'99999"),
+    ("pgm-sheared-width", TILE_INPUT, b"P5\n887 888\n255\n" + bytes(888 * 888), 2,
+     "888 byte(s) after the 887x888 raster; wellqc reads one image per file (byte offset 787671)"),
+    ("config-long-unknown-key", [*TRAIN, "--config", "{tmp}/input"], json.dumps({"x" * LONG: 1}), 1,
+     "ConfigError: RunConfig: unknown key(s) 'xxxxx"),
+    ("config-long-layer-kind", [*TRAIN, "--config", "{tmp}/input"],
+     json.dumps({"architecture": {"layers": [{"kind": "x" * LONG}]}}), 1, "unknown layer kind 'xxxxx"),
+    ("config-long-metric", [*TRAIN, "--config", "{tmp}/input"], json.dumps({"early_stopping": {"metric": "x" * LONG}}),
+     1, "early stopping metric must be val_loss or val_accuracy, got 'xxxxx"),
+    ("set-4000-digit-seed", [*TRAIN, "--set", "seed=" + "9" * 4_000], None, 1,
+     "ConfigError: seed: expected an integer of at most 64 bits, got 99999"),
+    ("grid-4000-digit-learning-rate", [*GRID_SEARCH, "--grid", "{tmp}/input"],
+     json.dumps({"learning_rate": [int("9" * 4_000)]}), 1, "learning_rate[0]: expected an integer of at most 64 bits"),
     ("checkpoint-long-magic-line", EVAL_INPUT, b"x" * LONG + b"\n", 2, "bad magic line b'xxxxx"),
     ("checkpoint-long-version", EVAL_INPUT, b"WELLQC-CKPT v" + b"3" * LONG + b" 10\n", 2,
      "unsupported checkpoint version 'v33333"),
@@ -729,6 +752,86 @@ def test_defective_frame_tiles_or_exits_with_one_short_line(workspace, fuzz_dirs
         assert min(read_pgm(example / "frame.pgm")[0].shape) < 111
     else:
         assert code == 2 and lines[0].startswith("error: FormatError: "), lines
+
+
+CONFIG_TYPES = (RunConfig, Hyperparams, EarlyStoppingConfig, ArchitectureSpec, LayerSpec, TileGrid, GridSpec)
+LONG_DIGITS = st.integers(100, 4_000).map(lambda n: int("9" * n))  # json reads integers of up to 4,300 digits
+LONG_TEXT = st.integers(100, 2_000).map(lambda n: "x" * n)
+CONFIG_VALUES = JSON_VALUES | LONG_DIGITS | LONG_DIGITS.map(lambda n: -n) | LONG_TEXT
+CONFIG_KEYS = (
+    st.sampled_from(sorted({f.name for cls in CONFIG_TYPES for f in dataclasses.fields(cls)})) | st.text(max_size=8)
+    | LONG_TEXT
+)
+
+
+def defective_configs(config):
+    """A valid config value with one value replaced, one key added, or one key or array item removed, or another JSON
+    value in its place.
+
+    Added keys lean toward the field names of the config types, so a layer gains a field its kind may or may not take
+    (``LayerKind.accepts``). Values lean toward runs of hundreds of digits or characters.
+    """
+    paths = list(value_paths(config))
+    objects = [path for path in [(), *paths] if isinstance(functools.reduce(lambda v, k: v[k], path, config), dict)]
+
+    def with_key(edit):
+        path, key, value = edit
+        return edited(config, path, lambda target: target.__setitem__(key, value))
+
+    def without(path):
+        return edited(config, path[:-1], lambda target: target.__delitem__(path[-1]))
+
+    return st.one_of(
+        CONFIG_VALUES,
+        st.tuples(st.sampled_from(paths), CONFIG_VALUES).map(lambda pair: replaced(config, *pair)),
+        st.tuples(st.sampled_from(objects), CONFIG_KEYS, CONFIG_VALUES).map(with_key),
+        st.sampled_from(paths).map(without),
+    ).filter(lambda value: value != config)
+
+
+def architecture_rejected(value) -> bool:
+    """Whether the strict loader, or the architecture's shape check, refuses ``value``."""
+    try:
+        configio.load(ArchitectureSpec, value).validate()
+    except (WellQcError, ValueError):
+        return True
+    return False
+
+
+# type, argv, a valid value; {tmp}/missing.tsv does not exist and {tmp}/dot.pgm is a 1x1 frame, so a valid value still
+# fails (exit 2 on the manifest, exit 1 on a grid outside the frame) before the out-dir
+CONFIG_COMMANDS = [
+    (RunConfig, ["train", "--data", "{tmp}/missing.tsv", "--config", "{tmp}/input.json", "--out-dir", "{tmp}/out"],
+     configio.dump(default_run_config())),
+    (GridSpec, ["grid-search", "--data", "{tmp}/missing.tsv", "--grid", "{tmp}/input.json", "--out-dir", "{tmp}/out"],
+     {"learning_rate": [0.001, 0.0003], "batch_size": [8], "dropout_rate": [0.2], "l2_lambda": [0.3]}),
+    (TileGrid, ["tile", "--frame", "{tmp}/dot.pgm", "--grid", "{tmp}/input.json", "--out-dir", "{tmp}/out"], TILE_GRID),
+    (ArchitectureSpec, ["grad-check", "--arch", "{tmp}/input.json", "--out-dir", "{tmp}/out"], TOY_ARCH),
+]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.data())
+def test_defective_config_exits_with_one_short_line(fuzz_dirs, data):
+    """Every config type, through the command that loads it. An architecture the loader accepts would run the
+    gradient check, so ``grad-check --arch`` takes only rejected ones; the run config carries the same layer
+    fields to ``train`` whether they are accepted or not."""
+    cls, argv, config = data.draw(st.sampled_from(CONFIG_COMMANDS), label="command")
+    value = data.draw(defective_configs(config), label="config")
+    if cls is ArchitectureSpec:
+        assume(architecture_rejected(value))
+    example = next(fuzz_dirs)
+    example.mkdir()
+    (example / "input.json").write_text(json.dumps(value))
+    write_pgm(np.zeros((1, 1)), example / "dot.pgm")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main([arg.format(tmp=example) for arg in argv])
+    lines = stderr.getvalue().splitlines()
+    assert code in (1, 2)
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert len(lines[0].replace(str(example), "").encode()) < 300, lines[0][:500]
+    assert not (example / "out").exists()
 
 
 def test_wellqc_config_environment_variable_is_ignored(workspace, tmp_path, capsys, monkeypatch):

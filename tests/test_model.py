@@ -1,6 +1,7 @@
 """Whole-model contracts: forward/backward composition and determinism."""
 
 import threading
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -220,9 +221,10 @@ class TestExecutionPlan:
 
         def forward_backward():
             probs, cache = model_forward(model, batch, rng=np.random.default_rng(23))
-            return probs, cache, model_backward(model, cache, labels)
+            shared = [cache[relu][0] is cache[pool][1] for relu, pool in ((1, 2), (4, 5))]  # before backward consumes it
+            return probs, shared, model_backward(model, cache, labels)
 
-        probs, cache, grads = forward_backward()
+        probs, shared, grads = forward_backward()
         with monkeypatch.context() as m:
             m.setattr(Model, "execution_order", property(lambda self: list(range(len(self.spec.layers)))))
             want_probs, _, want_grads = forward_backward()
@@ -230,8 +232,33 @@ class TestExecutionPlan:
         assert grads.keys() == want_grads.keys()
         for key in grads:
             assert np.array_equal(grads[key], want_grads[key]), key  # the sign of a zero may differ
-        for relu, pool in ((1, 2), (4, 5)):
-            assert cache[relu][0] is cache[pool][1]  # ReLU caches the pooled values, not a full-size copy
+        assert shared == [True, True]  # ReLU caches the pooled values, not a full-size copy
+
+
+class TestBackwardConsumesTheCache:
+    """model_backward frees each activation as soon as its layer's backward has run."""
+
+    def test_each_activation_is_dead_once_its_layer_has_run_backward(self, monkeypatch):
+        model = init_model(default_architecture(), np.random.default_rng(26))
+        model.dropout_rate = 0.5
+        rng = np.random.default_rng(27)
+        batch = rng.random((4, 111, 111, 1), dtype=np.float32)
+        _, cache = model_forward(model, batch, rng=rng)
+        head = cache[-1]
+        cached = [weakref.ref(a) for entry in cache[:-1] for a in entry if isinstance(a, np.ndarray) and a is not batch]
+        conv2_out = weakref.ref(cache[5][0])  # pool2's cached input
+        alive = []
+        kernel = ops.conv2d_backward
+
+        def recording(*args, **kwargs):
+            alive.append(conv2_out() is not None)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(ops, "conv2d_backward", recording)
+        model_backward(model, cache, np.array([0, 1, 1, 0]))
+        assert alive == [False, False]  # at conv2's backward, then conv1's
+        assert cache[:-1] == [None] * (len(cache) - 1) and cache[-1] is head
+        assert [ref for ref in cached if ref() is not None] == []
 
 
 def test_every_kernel_is_looked_up_on_ops_when_it_runs(monkeypatch):

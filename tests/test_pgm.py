@@ -74,6 +74,19 @@ class TestMalformedInputs:
             read_pgm(path)
         assert excinfo.value.offset == len(b"P5\n4 4\n255\n") + 7
 
+    @pytest.mark.parametrize(
+        "header, raster, extra",
+        [(b"P5\n887 888\n255\n", bytes(888 * 888), 888), (b"P5\n2 1\n255\n", b"\x10\x20\n", 1)],
+        ids=["width-overwritten", "newline-after-raster"],
+    )
+    def test_bytes_after_the_raster_rejected(self, tmp_path, header, raster, extra):
+        """One image per file: an 888x888 frame whose width reads 887 would otherwise decode sheared."""
+        path = tmp_path / "extra.pgm"
+        path.write_bytes(header + raster)
+        with pytest.raises(FormatError, match=rf"{extra} byte\(s\) after the .* raster") as excinfo:
+            read_pgm(path)
+        assert excinfo.value.offset == len(header) + len(raster) - extra
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "p2.pgm"
         path.write_bytes(b"P2\n1 1\n255\n0")
